@@ -14,7 +14,6 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "src/core/contracts.h"
@@ -44,8 +43,8 @@ class Mailbox {
 
   /// Receives the oldest message matching `pred`, acquiring (and stashing)
   /// non-matching messages as needed.
-  [[nodiscard]] logp::Task<Message> recv_match(
-      std::function<bool(const Message&)> pred) {
+  template <typename Pred>
+  [[nodiscard]] logp::Task<Message> recv_match(Pred pred) {
     for (std::size_t i = 0; i < stash_.size(); ++i) {
       if (pred(stash_[i])) {
         Message m = stash_[i];
@@ -72,6 +71,34 @@ class Mailbox {
     return recv_match([channel, tag](const Message& m) {
       return m.channel == channel && m.tag == tag;
     });
+  }
+
+  /// Receives the next n messages on `channel`, oldest first, passing each
+  /// to `f`: stashed matches in FIFO order, then acquisitions until n have
+  /// matched, stashing the rest. The same acquisitions in the same order
+  /// as n recv_channel calls, but one coroutine frame for the batch.
+  template <typename F>
+  [[nodiscard]] logp::Task<> recv_each(std::int32_t channel, std::size_t n,
+                                       F f) {
+    std::size_t kept = 0;
+    for (Message& m : stash_) {
+      if (n > 0 && m.channel == channel) {
+        f(m);
+        --n;
+      } else {
+        stash_[kept++] = m;
+      }
+    }
+    stash_.resize(kept);
+    while (n > 0) {
+      const Message& m = co_await proc_.recv();
+      if (m.channel == channel) {
+        f(m);
+        --n;
+      } else {
+        stash_.push_back(m);
+      }
+    }
   }
 
   /// Acquires everything currently buffered in the processor's input

@@ -138,7 +138,6 @@ class BucketQueue {
     overflow_head_ = 0;
     cur_ = 0;
     cur_slot_ = &wheel_[0];
-    size_ = 0;
     wheel_count_ = 0;
   }
 
@@ -150,13 +149,17 @@ class BucketQueue {
     } else {
       push_overflow(t, phase, LaneRec{proc, payload, kind});
     }
-    size_ += 1;
   }
 
-  [[nodiscard]] bool empty() const { return size_ == 0; }
+  // Derived, not a third counter: a total decremented beside wheel_count_
+  // in pop() gets fused with it into one 16-byte load that straddles
+  // push()'s two 8-byte stores and stalls on store forwarding.
+  [[nodiscard]] bool empty() const {
+    return wheel_count_ == 0 && overflow_size() == 0;
+  }
 
   Event pop() {
-    BSPLOGP_ASSERT(size_ > 0);
+    BSPLOGP_ASSERT(!empty());
     Slot* slot = cur_slot_;
     if (slot->remaining == 0) {
       advance();
@@ -175,7 +178,6 @@ class BucketQueue {
         taken += 1;
         slot->min_lane = ph;
         slot->remaining -= 1;
-        size_ -= 1;
         wheel_count_ -= 1;
         if (slot->remaining == 0) {
           slot->reset();
@@ -337,7 +339,6 @@ class BucketQueue {
   std::size_t overflow_head_ = 0;
   Time cur_ = 0;
   Slot* cur_slot_ = nullptr;  // == &wheel_[index_of(cur_)]; wheel_ is fixed
-  std::size_t size_ = 0;
   std::size_t wheel_count_ = 0;
 };
 

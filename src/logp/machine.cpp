@@ -175,11 +175,11 @@ void Machine::handle_submit(EngineProc& p, Time t) {
   p.last_submit_ = t;
   p.has_submitted_ = true;
   p.status_ = EngineProc::Status::Stalling;
+  p.stall_traced_ = false;
   stats_.messages_submitted += 1;
   if (options_.sink != nullptr)
     options_.sink->emit(trace::Event::submit(p.id_, t, p.out_.dst));
-  dsts_[static_cast<std::size_t>(p.out_.dst)].pending.push_back(
-      PendingSubmission{p.out_, t});
+  dsts_[static_cast<std::size_t>(p.out_.dst)].pending.push_back(p.id_);
   push(t, Phase::Accept, EventKind::Accept, p.out_.dst);
 }
 
@@ -189,9 +189,8 @@ void Machine::handle_accept(ProcId dst_id, Time t) {
   // s is the number of free capacity slots. Which ones is unspecified by
   // the model; options_.accept_order decides.
   while (!dst.pending.empty() && dst.in_transit < capacity_) {
-    // The accepted submission is consumed in place — its Message is copied
-    // exactly once, ring slot -> payload pool — and popped from the ring
-    // only after the pool write (push_msg never touches the ring).
+    // The accepted submission is read from its stalled sender: its
+    // Message is copied exactly once, sender's out_ -> payload pool.
     std::size_t idx = 0;
     switch (options_.accept_order) {
       case AcceptOrder::Fifo:
@@ -203,12 +202,10 @@ void Machine::handle_accept(ProcId dst_id, Time t) {
         idx = static_cast<std::size_t>(rng_.below(dst.pending.size()));
         break;
     }
-    const PendingSubmission& ps = dst.pending[idx];
-    const ProcId src = ps.msg.src;
-    const Time submit_time = ps.submit_time;
-
+    const ProcId src = dst.pending[idx];
     EngineProc& sender = proc(src);
     BSPLOGP_ASSERT(sender.status_ == EngineProc::Status::Stalling);
+    const Time submit_time = sender.submit_time_;
     if (t > submit_time) {
       const Time stalled = t - submit_time;
       stats_.stall_events += 1;
@@ -232,7 +229,7 @@ void Machine::handle_accept(ProcId dst_id, Time t) {
       dst.slots.set(slot);
     }
     events_.push_msg(slot, Phase::Delivery, EventKind::Delivery, dst_id,
-                     ps.msg);
+                     sender.out_);
     switch (options_.accept_order) {
       case AcceptOrder::Fifo:
         dst.pending.pop_front();
@@ -253,11 +250,11 @@ void Machine::handle_accept(ProcId dst_id, Time t) {
   // step: their senders are stalling from here until acceptance.
   if (options_.sink != nullptr) {
     for (std::size_t i = 0; i < dst.pending.size(); ++i) {
-      PendingSubmission& ps = dst.pending[i];
-      if (ps.stall_traced) continue;
-      ps.stall_traced = true;
-      options_.sink->emit(
-          trace::Event::stall_begin(ps.msg.src, ps.submit_time, dst_id));
+      EngineProc& sender = proc(dst.pending[i]);
+      if (sender.stall_traced_) continue;
+      sender.stall_traced_ = true;
+      options_.sink->emit(trace::Event::stall_begin(
+          sender.id_, sender.submit_time_, dst_id));
     }
   }
 }

@@ -101,6 +101,7 @@ class EngineProc final : public Proc {
     submit_time_ = 0;
     recv_earliest_ = 0;
     stall_time_ = 0;
+    stall_traced_ = false;
   }
 
   void issue_send(Message m, std::coroutine_handle<> frame) override;
@@ -113,10 +114,17 @@ class EngineProc final : public Proc {
   Task<> root_;
   std::coroutine_handle<> frame_;  // deepest suspended frame to resume
 
+  // out_ and submit_time_ stay untouched from submission to acceptance
+  // (a stalling sender executes nothing), so the destination's pending
+  // queue holds only this processor's id and reads the message from here.
   Message out_{};           // pending outgoing message
   Time submit_time_ = 0;    // when out_ is/was submitted
   Time recv_earliest_ = 0;  // earliest admissible acquisition start
   Time stall_time_ = 0;
+  /// A StallBegin was emitted for the pending submission (trace
+  /// bookkeeping only; never affects scheduling or RunStats). Reset at
+  /// submission: a sender has at most one submission pending.
+  bool stall_traced_ = false;
 };
 
 class Machine {
@@ -169,21 +177,13 @@ class Machine {
   using Phase = detail::Phase;
   using EventKind = detail::EventKind;
 
-  struct PendingSubmission {
-    Message msg;
-    Time submit_time = 0;
-    /// A StallBegin was emitted for this submission (trace bookkeeping
-    /// only; never affects scheduling or RunStats).
-    bool stall_traced = false;
-  };
-
   struct DstState {
-    // Flat ring, not std::deque: in-flight submissions recycle their
-    // slots in place, so steady-state acceptance churn never touches the
-    // allocator (Fifo pops the front, Lifo the back, Random erases by
+    // Senders whose submission is pending, in submission order. Flat
+    // ring, not std::deque: steady-state acceptance churn never touches
+    // the allocator (Fifo pops the front, Lifo the back, Random erases by
     // index — all supported on the ring).
-    core::RingBuffer<PendingSubmission> pending;  // submitted, not accepted
-    Time in_transit = 0;                          // accepted, not delivered
+    core::RingBuffer<ProcId> pending;  // submitted, not accepted
+    Time in_transit = 0;               // accepted, not delivered
     detail::SlotBitmap slots;  // scheduled delivery times (Bucket)
     // Scheduled delivery times (ReferenceHeap): a flat unsorted vector,
     // membership by linear scan over <= capacity() <= L live entries.

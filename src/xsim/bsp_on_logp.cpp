@@ -168,28 +168,50 @@ Time sort_duration(Method method, Time r, ProcId p, const logp::Params& prm,
   return 2 * redist_window(r, q, p, prm) + 2 * boundary_window(r, p, prm);
 }
 
+/// Receives `n` sort-traffic records on `channel` into `out`.
+Task<> recv_records(Mailbox& mb, std::int32_t channel, std::size_t n,
+                    std::vector<Record>& out) {
+  return mb.recv_each(channel, n, [&out](const Message& m) {
+    out.push_back(unpack_record(m));
+  });
+}
+
 /// Exchange full blocks with `partner` on `channel` and keep the low or
-/// high half of the merged 2r records.
+/// high half of the 2r records, merging the two sorted runs straight into
+/// the kept half. `theirs` and `kept` are scratch reused across rounds.
 Task<> merge_exchange(Mailbox& mb, std::vector<Record>& recs, ProcId partner,
-                      bool keep_low, std::int32_t channel) {
+                      bool keep_low, std::int32_t channel,
+                      std::vector<Record>& theirs,
+                      std::vector<Record>& kept) {
   Proc& pr = mb.proc();
   const std::size_t r = recs.size();
   for (const Record& rec : recs)
     co_await pr.send(partner, rec.payload, rec.tag,
                      pack_aux(rec.key, rec.src), channel);
-  std::vector<Record> merged = recs;
-  merged.reserve(2 * r);
-  for (std::size_t k = 0; k < r; ++k) {
-    const Message m = co_await mb.recv_channel(channel);
-    merged.push_back(unpack_record(m));
-  }
+  theirs.clear();
+  co_await recv_records(mb, channel, r, theirs);
   co_await pr.compute(merge_charge(static_cast<Time>(2 * r)));
-  std::sort(merged.begin(), merged.end(), record_less);
-  const auto half = static_cast<std::ptrdiff_t>(r);
-  if (keep_low)
-    recs.assign(merged.begin(), merged.begin() + half);
-  else
-    recs.assign(merged.begin() + half, merged.end());
+  // The partner sent its run sorted; only a delivery schedule that
+  // reorders transit (UniformRandom) hands it over out of order.
+  if (!std::is_sorted(theirs.begin(), theirs.end(), record_less))
+    std::sort(theirs.begin(), theirs.end(), record_less);
+  // Both runs hold r records, so neither runs out before r are taken.
+  // Records that compare equal are equal in every field, so the result
+  // matches sorting all 2r and keeping the half.
+  kept.resize(r);
+  if (keep_low) {
+    std::size_t a = 0;  // next unmerged record of each run, from the front
+    std::size_t b = 0;
+    for (Record& out : kept)
+      out = record_less(theirs[b], recs[a]) ? theirs[b++] : recs[a++];
+  } else {
+    std::size_t a = r;  // one past the last unmerged record of each run
+    std::size_t b = r;
+    for (std::size_t k = r; k-- > 0;)
+      kept[k] = record_less(recs[a - 1], theirs[b - 1]) ? theirs[--b]
+                                                         : recs[--a];
+  }
+  recs.swap(kept);
 }
 
 /// Bitonic merge-split sort across all processors, rounds aligned to
@@ -199,13 +221,17 @@ Task<> sort_bitonic(Mailbox& mb, std::vector<Record>& recs, Time t0,
                     Shared& sh) {
   Proc& pr = mb.proc();
   const Time w = exchange_window(static_cast<Time>(recs.size()), sh.prm);
+  std::vector<Record> theirs;
+  std::vector<Record> kept;
+  theirs.reserve(recs.size());
   for (std::size_t round = 0; round < sh.bitonic_partners.size(); ++round) {
     const Time wstart = t0 + static_cast<Time>(round) * w;
     co_await pr.wait_until(wstart);
     const auto [partner, keep_low] =
         sh.bitonic_partners[round][static_cast<std::size_t>(pr.id())];
     co_await merge_exchange(mb, recs, partner, keep_low,
-                            kChSortBase - static_cast<std::int32_t>(round));
+                            kChSortBase - static_cast<std::int32_t>(round),
+                            theirs, kept);
     if (pr.now() > wstart + w) sh.schedule_violations += 1;
   }
 }
@@ -258,10 +284,8 @@ Task<> sort_columnsort(Mailbox& mb, std::vector<Record>& recs, Time t0,
     const auto expect = r - static_cast<Time>(kept.size());
     std::vector<Record> next = std::move(kept);
     next.reserve(static_cast<std::size_t>(r));
-    for (Time k = 0; k < expect; ++k) {
-      const Message m = co_await mb.recv_channel(channel);
-      next.push_back(unpack_record(m));
-    }
+    co_await recv_records(mb, channel, static_cast<std::size_t>(expect),
+                          next);
     BSPLOGP_ASSERT(std::cmp_equal(next.size(), r));
     co_await pr.compute(seq_sort_charge(r, p));
     std::sort(next.begin(), next.end(), record_less);
@@ -288,10 +312,8 @@ Task<> sort_columnsort(Mailbox& mb, std::vector<Record>& recs, Time t0,
   if (me < p - 1) {
     window.assign(recs.begin() + static_cast<std::ptrdiff_t>(tcnt),
                   recs.end());  // my last half records
-    for (Time k = 0; k < tcnt; ++k) {
-      const Message m = co_await mb.recv_channel(kChColBoundA);
-      window.push_back(unpack_record(m));
-    }
+    co_await recv_records(mb, kChColBoundA, static_cast<std::size_t>(tcnt),
+                          window);
     co_await pr.compute(seq_sort_charge(r, p));
     std::sort(window.begin(), window.end(), record_less);
   }
@@ -309,10 +331,8 @@ Task<> sort_columnsort(Mailbox& mb, std::vector<Record>& recs, Time t0,
   std::vector<Record> next;
   next.reserve(static_cast<std::size_t>(r));
   if (me > 0) {
-    for (Time k = 0; k < tcnt; ++k) {
-      const Message m = co_await mb.recv_channel(kChColBoundB);
-      next.push_back(unpack_record(m));
-    }
+    co_await recv_records(mb, kChColBoundB, static_cast<std::size_t>(tcnt),
+                          next);
   } else {
     next.assign(recs.begin(), recs.begin() + static_cast<std::ptrdiff_t>(tcnt));
   }

@@ -87,18 +87,23 @@ TEST_P(CbSweep, CorrectWithStaggeredJoinTimes) {
     EXPECT_EQ(out[static_cast<std::size_t>(i)], expect);
 }
 
+// gtest prints a CbCase as its raw bytes, and ctest keeps that dump in the
+// test name. Cases built on the stack carry stack garbage (ASLR-dependent
+// addresses) in the padding after `p`, so the names changed on every run;
+// a constant-initialized static array has zeroed padding instead.
+constexpr CbCase kCbCases[] = {
+    CbCase{1, Params{8, 1, 2}}, CbCase{2, Params{8, 1, 2}},
+    CbCase{7, Params{8, 1, 2}}, CbCase{16, Params{8, 1, 2}},
+    CbCase{33, Params{8, 1, 2}}, CbCase{128, Params{8, 1, 2}},
+    // capacity 1: binary tree + parity slot rule
+    CbCase{16, Params{4, 1, 4}}, CbCase{64, Params{4, 2, 4}},
+    CbCase{37, Params{3, 1, 2}},
+    // large capacity: wide trees
+    CbCase{64, Params{32, 1, 2}}, CbCase{256, Params{64, 2, 4}},
+    CbCase{100, Params{16, 4, 4}}};
+
 INSTANTIATE_TEST_SUITE_P(
-    ParamGrid, CbSweep,
-    ::testing::Values(
-        CbCase{1, Params{8, 1, 2}}, CbCase{2, Params{8, 1, 2}},
-        CbCase{7, Params{8, 1, 2}}, CbCase{16, Params{8, 1, 2}},
-        CbCase{33, Params{8, 1, 2}}, CbCase{128, Params{8, 1, 2}},
-        // capacity 1: binary tree + parity slot rule
-        CbCase{16, Params{4, 1, 4}}, CbCase{64, Params{4, 2, 4}},
-        CbCase{37, Params{3, 1, 2}},
-        // large capacity: wide trees
-        CbCase{64, Params{32, 1, 2}}, CbCase{256, Params{64, 2, 4}},
-        CbCase{100, Params{16, 4, 4}}),
+    ParamGrid, CbSweep, ::testing::ValuesIn(kCbCases),
     [](const auto& info) {
       const auto& c = info.param;
       return "p" + std::to_string(c.p) + "L" + std::to_string(c.prm.L) + "o" +

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace bsplogp::algo {
@@ -80,6 +81,68 @@ TEST(Mailbox, StashPreservesFifoWithinChannel) {
   });
   EXPECT_TRUE(m.run(progs).completed());
   EXPECT_EQ(got, (std::vector<Word>{0, 1, 2, 3}));
+}
+
+TEST(Mailbox, RecvEachMatchesRepeatedRecvChannel) {
+  // Proc 1 sends channel 4 twice, then 9, then 4 interleaved with 7.
+  // Proc 0 takes channel 9 first (stashing both 4s), then five channel-4
+  // messages — through recv_each (one message, then four: the first call
+  // must leave the second stashed match alone) or through five
+  // recv_channel calls — then the two channel-7 messages, which the
+  // channel-4 receives must have stashed. Payload order, stash size and
+  // the processor's clock must agree between the two, and so must the
+  // engine's RunStats.
+  struct Result {
+    std::vector<Word> ch4, ch7;
+    std::size_t stashed = 0;
+    Time after_ch4 = 0;
+    Time end = 0;
+    logp::RunStats stats;
+  };
+  auto run = [](bool batched) {
+    Result res;
+    Machine m(2, Params{8, 1, 2});
+    std::vector<ProgramFn> progs;
+    progs.emplace_back([&res, batched](Proc& p) -> Task<> {
+      Mailbox mb(p);
+      (void)co_await mb.recv_channel(9);
+      auto keep = [&res](const Message& msg) {
+        res.ch4.push_back(msg.payload);
+      };
+      if (batched) {
+        co_await mb.recv_each(4, 1, keep);
+        EXPECT_EQ(mb.stashed(), 1u);
+        co_await mb.recv_each(4, 4, keep);
+      } else {
+        for (int i = 0; i < 5; ++i) keep(co_await mb.recv_channel(4));
+      }
+      res.stashed = mb.stashed();
+      res.after_ch4 = p.now();
+      for (int i = 0; i < 2; ++i)
+        res.ch7.push_back((co_await mb.recv_channel(7)).payload);
+      res.end = p.now();
+    });
+    progs.emplace_back([](Proc& p) -> Task<> {
+      for (const auto& [payload, channel] :
+           {std::pair<Word, std::int32_t>{40, 4}, {41, 4}, {90, 9}, {42, 4},
+            {70, 7}, {43, 4}, {71, 7}, {44, 4}})
+        co_await p.send(0, payload, 0, 0, channel);
+    });
+    res.stats = m.run(progs);
+    return res;
+  };
+  const Result batched = run(true);
+  const Result single = run(false);
+  EXPECT_TRUE(batched.stats.completed());
+  EXPECT_EQ(batched.ch4, (std::vector<Word>{40, 41, 42, 43, 44}));
+  EXPECT_EQ(batched.ch7, (std::vector<Word>{70, 71}));
+  EXPECT_EQ(batched.stashed, 2u);
+  EXPECT_EQ(batched.ch4, single.ch4);
+  EXPECT_EQ(batched.ch7, single.ch7);
+  EXPECT_EQ(batched.stashed, single.stashed);
+  EXPECT_EQ(batched.after_ch4, single.after_ch4);
+  EXPECT_EQ(batched.end, single.end);
+  EXPECT_TRUE(batched.stats == single.stats);
 }
 
 TEST(Mailbox, AvailableCountsStashAndInbox) {

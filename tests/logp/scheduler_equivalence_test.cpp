@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <utility>
@@ -179,6 +180,103 @@ TEST(SchedulerEquivalence, InvariantsHoldUnderStress) {
       EXPECT_LE(st.max_in_transit, prm.capacity());
       EXPECT_EQ(probe.deliveries, st.messages);
       EXPECT_EQ(st.messages, static_cast<Time>(p - 1) * 2);
+    }
+}
+
+/// FNV-1a over 64-bit words, little-endian byte order.
+class Fnv64 {
+ public:
+  void add(std::int64_t v) {
+    const auto u = static_cast<std::uint64_t>(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      h_ ^= (u >> (8 * byte)) & 0xff;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t hash_stats(const RunStats& st) {
+  Fnv64 h;
+  h.add(st.finish_time);
+  h.add(static_cast<std::int64_t>(st.proc_finish.size()));
+  for (const Time t : st.proc_finish) h.add(t);
+  h.add(static_cast<std::int64_t>(st.blocked_procs.size()));
+  for (const ProcId b : st.blocked_procs) h.add(b);
+  for (const std::int64_t v :
+       {st.messages, std::int64_t{st.deadlock}, std::int64_t{st.timed_out},
+        st.messages_submitted, st.messages_acquired, st.events_processed,
+        st.stall_events, st.stall_time_total, st.stall_time_max,
+        st.max_in_transit, st.max_inbox})
+    h.add(v);
+  return h.value();
+}
+
+std::uint64_t hash_events(const std::vector<trace::Event>& events) {
+  Fnv64 h;
+  h.add(static_cast<std::int64_t>(events.size()));
+  for (const trace::Event& e : events)
+    for (const std::int64_t v :
+         {static_cast<std::int64_t>(e.kind), std::int64_t{e.proc}, e.t,
+          std::int64_t{e.peer}, e.t2, e.a, e.b, e.idx})
+      h.add(v);
+  return h.value();
+}
+
+TEST(SchedulerEquivalence, GoldenStallingHotspotPerPolicy) {
+  // Pinned hashes of RunStats and of the full event stream for a stalling
+  // k-hotspot under every AcceptOrder x DeliverySchedule. Both schedulers
+  // share the acceptance and stall bookkeeping (handle_accept), so only a
+  // golden pin — not the Bucket-vs-Heap comparison above — catches a
+  // change there that alters which submission is accepted when, or the
+  // order of the StallBegin records.
+  struct Golden {
+    AcceptOrder accept;
+    DeliverySchedule delivery;
+    std::uint64_t stats;
+    std::uint64_t events;
+  };
+  constexpr Golden kGolden[] = {
+      {AcceptOrder::Fifo, DeliverySchedule::Latest,
+       0xf0b7f502d6417c15ULL, 0x0abc59a998b2e32dULL},
+      {AcceptOrder::Fifo, DeliverySchedule::Earliest,
+       0x4b27567a51ac59eaULL, 0xbec7827c573a62f6ULL},
+      {AcceptOrder::Fifo, DeliverySchedule::UniformRandom,
+       0x73ef7dc67263cf7eULL, 0x1ba3d4fc625b3d7eULL},
+      {AcceptOrder::Lifo, DeliverySchedule::Latest,
+       0xc430baacf25d0ca3ULL, 0xcc50daa7a5fadfa7ULL},
+      {AcceptOrder::Lifo, DeliverySchedule::Earliest,
+       0x6a280766db2ab168ULL, 0x0a6a0d36748b7e8bULL},
+      {AcceptOrder::Lifo, DeliverySchedule::UniformRandom,
+       0xef1f60841dd34008ULL, 0x44d79415787cb577ULL},
+      {AcceptOrder::Random, DeliverySchedule::Latest,
+       0x4ea633764abb2554ULL, 0x3c9e7b2c9eaa5c0bULL},
+      {AcceptOrder::Random, DeliverySchedule::Earliest,
+       0x151aafd03cf28b04ULL, 0x3afb9c9ef2144877ULL},
+      {AcceptOrder::Random, DeliverySchedule::UniformRandom,
+       0x95fed4a66d13e1f2ULL, 0x956d71883d3eb4a0ULL},
+  };
+  const ProcId p = 17;
+  const Params prm{16, 1, 4};  // capacity 4 against 16 senders
+  const auto progs = workload::hotspot(p, 3);
+  for (const Golden& g : kGolden)
+    for (const SchedulerKind sched :
+         {SchedulerKind::Bucket, SchedulerKind::ReferenceHeap}) {
+      trace::RecordingSink rec;
+      const RunStats st =
+          run_with(sched, g.accept, g.delivery, 42, prm, p, progs, &rec);
+      ASSERT_GT(st.stall_events, 0);
+      EXPECT_EQ(hash_stats(st), g.stats)
+          << "accept=" << static_cast<int>(g.accept)
+          << " delivery=" << static_cast<int>(g.delivery)
+          << " scheduler=" << static_cast<int>(sched);
+      EXPECT_EQ(hash_events(rec.events()), g.events)
+          << "accept=" << static_cast<int>(g.accept)
+          << " delivery=" << static_cast<int>(g.delivery)
+          << " scheduler=" << static_cast<int>(sched);
     }
 }
 

@@ -17,6 +17,7 @@
 
 #include "src/bsp/machine.h"
 #include "src/core/parallel.h"
+#include "src/routing/h_relation.h"
 #include "src/workload/workload.h"
 #include "src/xsim/bsp_on_logp.h"
 
@@ -78,6 +79,10 @@ TEST(FuzzEquivalence, NativeAndSimulatedReceiveIdenticalMultisets) {
 }
 
 TEST(FuzzEquivalence, PolicySweepOnOneSeed) {
+  // Every engine policy under both sort methods. UniformRandom delivery
+  // reorders a merge-split partner's run in transit; the duplicate
+  // relation (one sender repeating a message verbatim, so its records tie
+  // in every field) pins how the sorts handle ties.
   const ProcId p = 8;
   const std::int64_t supersteps = 3;
   const std::uint64_t seed = 99;
@@ -87,23 +92,50 @@ TEST(FuzzEquivalence, PolicySweepOnOneSeed) {
   bsp::Machine native(p, bsp::Params{1, 1});
   (void)native.run(ref_progs);
 
-  for (const auto accept :
-       {logp::AcceptOrder::Fifo, logp::AcceptOrder::Random}) {
-    for (const auto delivery :
-         {logp::DeliverySchedule::Latest, logp::DeliverySchedule::Earliest,
-          logp::DeliverySchedule::UniformRandom}) {
-      workload::FuzzLog log;
-      auto progs = workload::fuzz_supersteps(p, supersteps, seed, log);
-      BspOnLogpOptions opt;
-      opt.engine.accept_order = accept;
-      opt.engine.delivery = delivery;
-      opt.engine.seed = 7;
-      BspOnLogp sim(p, logp::Params{12, 1, 3}, opt);
-      const auto rep = sim.run(progs);
-      EXPECT_TRUE(rep.logp.completed());
-      EXPECT_EQ(log.received, reference.received);
-    }
-  }
+  routing::HRelation dups(p);
+  for (int k = 0; k < 5; ++k) dups.add(3, 6, 42, 1);
+  dups.add(3, 6, 41, 1);
+  dups.add(2, 6, 42, 1);
+  dups.add(5, 3, 42, 1);
+  dups.add(5, 3, 42, 1);
+  workload::InboxLog dup_reference;
+  auto dup_ref_progs =
+      workload::logged(workload::relation_step(dups), dup_reference);
+  (void)bsp::Machine(p, bsp::Params{1, 1}).run(dup_ref_progs);
+
+  for (const auto method : {SortMethod::Bitonic, SortMethod::Columnsort})
+    for (const auto accept :
+         {logp::AcceptOrder::Fifo, logp::AcceptOrder::Lifo,
+          logp::AcceptOrder::Random})
+      for (const auto delivery :
+           {logp::DeliverySchedule::Latest, logp::DeliverySchedule::Earliest,
+            logp::DeliverySchedule::UniformRandom}) {
+        BspOnLogpOptions opt;
+        opt.sort = method;
+        opt.engine.accept_order = accept;
+        opt.engine.delivery = delivery;
+        opt.engine.seed = 7;
+        BspOnLogp sim(p, logp::Params{12, 1, 3}, opt);
+
+        workload::FuzzLog log;
+        auto progs = workload::fuzz_supersteps(p, supersteps, seed, log);
+        const auto rep = sim.run(progs);
+        EXPECT_TRUE(rep.logp.completed());
+        EXPECT_EQ(rep.schedule_violations, 0);
+        EXPECT_EQ(log.received, reference.received)
+            << "method=" << static_cast<int>(method)
+            << " accept=" << static_cast<int>(accept)
+            << " delivery=" << static_cast<int>(delivery);
+
+        workload::InboxLog dup_log;
+        auto dup_progs =
+            workload::logged(workload::relation_step(dups), dup_log);
+        EXPECT_TRUE(sim.run(dup_progs).logp.completed());
+        EXPECT_EQ(dup_log.per_pid, dup_reference.per_pid)
+            << "method=" << static_cast<int>(method)
+            << " accept=" << static_cast<int>(accept)
+            << " delivery=" << static_cast<int>(delivery);
+      }
 }
 
 }  // namespace
