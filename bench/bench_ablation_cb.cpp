@@ -42,8 +42,8 @@ Run run_logp(ProcId p, const logp::Params& prm,
   return Run{st.finish_time, st.stall_events};
 }
 
-// Cacheable section results (file scope: local classes cannot carry the
-// io() member template the cache codec needs).
+// Section results (file scope: local classes cannot carry the io() member
+// template PointCodec needs).
 
 /// Section (b): the d-ary tree CB next to the greedy schedule pair.
 struct Pair {
@@ -124,13 +124,6 @@ int main(int argc, char** argv) {
     const auto runs = runner.map<Run>(
         grid.size(),
         [&](std::size_t i) {
-          return cache::PointKey{
-              "sec=arity;L=" + std::to_string(grid[i].prm.L) + ";o=" +
-              std::to_string(grid[i].prm.o) + ";G=" +
-              std::to_string(grid[i].prm.G) + ";arity=" +
-              std::to_string(grid[i].arity) + ";p=" + std::to_string(big_p)};
-        },
-        [&](std::size_t i) {
           return run_logp(big_p, grid[i].prm,
                           workload::cb_arity(big_p, grid[i].arity));
         });
@@ -158,12 +151,6 @@ int main(int argc, char** argv) {
                     : std::vector<ProcId>{16, 64, 256, 1024};
     const auto runs = runner.map<Pair>(
         ps.size(),
-        [&](std::size_t i) {
-          return cache::PointKey{"sec=greedy;p=" + std::to_string(ps[i]) +
-                                 ";L=" + std::to_string(prm.L) + ";o=" +
-                                 std::to_string(prm.o) + ";G=" +
-                                 std::to_string(prm.G)};
-        },
         [&](std::size_t i) {
           const ProcId p = ps[i];
           return Pair{
@@ -195,15 +182,6 @@ int main(int argc, char** argv) {
     const auto runs = runner.map<Run>(
         policies.size(),
         [&](std::size_t i) {
-          return cache::PointKey{"sec=policy;policy=" +
-                                     std::string(policies[i].second) + ";p=" +
-                                     std::to_string(big_p) + ";L=" +
-                                     std::to_string(prm.L) + ";o=" +
-                                     std::to_string(prm.o) + ";G=" +
-                                     std::to_string(prm.G),
-                                 3};
-        },
-        [&](std::size_t i) {
           logp::Machine::Options opt;
           opt.delivery = policies[i].first;
           opt.seed = 3;
@@ -233,19 +211,7 @@ int main(int argc, char** argv) {
     for (const ProcId p : ps)
       for (const bool regular : {true, false})
         grid.push_back(Point{p, regular});
-    const auto runs = runner.map<ModeRuns>(
-        grid.size(),
-        [&](std::size_t i) {
-          return cache::PointKey{"sec=clocked;p=" +
-                                     std::to_string(grid[i].p) + ";regular=" +
-                                     (grid[i].regular ? "1" : "0") + ";i=" +
-                                     std::to_string(i) + ";L=" +
-                                     std::to_string(prm.L) + ";o=" +
-                                     std::to_string(prm.o) + ";G=" +
-                                     std::to_string(prm.G),
-                                 71};
-        },
-        [&](std::size_t i) {
+    const auto runs = runner.map<ModeRuns>(grid.size(), [&](std::size_t i) {
       const Point& pt = grid[i];
       // Both modes must route the SAME relation, so the point draws it
       // once from its own stream and runs each mode on a fresh program.
@@ -294,14 +260,6 @@ int main(int argc, char** argv) {
     const std::vector<Time> cycles{prm.L / 4, prm.L / 2, prm.L, 2 * prm.L};
     const auto runs = runner.map<CycleRun>(
         cycles.size(),
-        [&](std::size_t i) {
-          return cache::PointKey{"sec=cycle;cycle=" +
-                                 std::to_string(cycles[i]) + ";p=" +
-                                 std::to_string(p) + ";L=" +
-                                 std::to_string(prm.L) + ";o=" +
-                                 std::to_string(prm.o) + ";G=" +
-                                 std::to_string(prm.G)};
-        },
         [&](std::size_t i) {
           xsim::LogpOnBspOptions opt;
           opt.bsp = bsp::Params{prm.G, prm.L};

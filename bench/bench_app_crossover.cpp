@@ -129,9 +129,8 @@ int main(int argc, char** argv) {
             << ", o=" << kLogp.o << ", G=" << kLogp.G
             << "; BSP machine: g=" << kBsp.g << ", l=" << kBsp.l << "\n\n";
 
-  // --deep appends points (point keys include the index, so extensions
-  // must never shift existing points): a warm cache from the regular run
-  // replays inside the nightly deep run.
+  // --deep appends points and never shifts existing ones, so every regular
+  // row reappears unchanged in the nightly deep run.
   std::vector<AppPoint> pts;
   if (rep.smoke()) {
     add_point(pts, "stencil-2d", 4, 12, 8, 2);
@@ -156,24 +155,7 @@ int main(int argc, char** argv) {
 
   const bench::SweepRunner runner(rep);
   const auto results = runner.map<PointResult>(
-      pts.size(),
-      [&](std::size_t i) {
-        const AppPoint& pt = pts[i];
-        return cache::PointKey{
-            "f=" + pt.family + ";p=" + std::to_string(pt.spec.p) +
-                ";nx=" + std::to_string(pt.spec.nx) +
-                ";ny=" + std::to_string(pt.spec.ny) +
-                ";r=" + std::to_string(pt.spec.rounds) +
-                ";gr=" + std::to_string(pt.spec.grid_rows) +
-                ";s=" + std::to_string(pt.spec.seed) +
-                ";i=" + std::to_string(i) + ";L=" + std::to_string(kLogp.L) +
-                ";o=" + std::to_string(kLogp.o) +
-                ";G=" + std::to_string(kLogp.G) +
-                ";g=" + std::to_string(kBsp.g) +
-                ";l=" + std::to_string(kBsp.l),
-            37};
-      },
-      [&](std::size_t i) { return run_point(pts[i]); });
+      pts.size(), [&](std::size_t i) { return run_point(pts[i]); });
 
   for (std::size_t i = 0; i < pts.size(); ++i) {
     const AppPoint& pt = pts[i];

@@ -11,23 +11,18 @@
 //   * sweep_scaling — the grid run with --jobs 1 and --jobs max(2, hw),
 //     model results asserted identical, both wall clocks recorded
 //     (`sweep_speedup` = serial/parallel);
-//   * cache_replay — the grid run cold and then warm against a private
-//     scratch cache directory (DESIGN.md §10), results asserted
-//     identical, `cache_replay_speedup` = cold/warm. This is the
-//     "unchanged grid points are free" claim, measured.
+//   * micro_sweep — the grid tiled to growing sizes and run at jobs
+//     {1, 2, hw}, recording grid points/sec per leg.
 //
 //   bench_engine_throughput --json BENCH_engine.json
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench/harness.h"
-#include "src/cache/point_cache.h"
 #include "src/core/alloc_counter.h"
 #include "src/core/parallel.h"
 #include "src/logp/machine.h"
@@ -124,9 +119,6 @@ int main(int argc, char** argv) {
       {"grid points", "jobs", "wall s", "speedup", "model times equal"});
   auto& micro_sweep_series = rep.series(
       "micro_sweep", {"grid points", "jobs", "wall s", "points/s", "speedup"});
-  auto& replay_series = rep.series(
-      "cache_replay", {"grid points", "cold s", "warm s", "speedup", "hits",
-                       "results equal"});
   if (rep.list()) return rep.finish();
 
   const double min_seconds = rep.smoke() ? 0.01 : 0.4;
@@ -243,22 +235,11 @@ int main(int argc, char** argv) {
     logp::Machine m(grid[i].p, logp::Params{16, 1, 2});
     return m.run(workload::hotspot(grid[i].p, grid[i].k)).finish_time;
   };
-  const std::function<cache::PointKey(std::size_t)> point_key =
-      [&](std::size_t i) {
-        return cache::PointKey{"sweep;p=" + std::to_string(grid[i].p) +
-                               ";k=" + std::to_string(grid[i].k) +
-                               ";L=16;o=1;G=2"};
-      };
-  auto run_grid = [&](int jobs, cache::PointCache* pc, core::ThreadPool* pool,
-                      double* seconds) {
+  auto run_grid = [&](core::ThreadPool* pool, double* seconds) {
     using clock = std::chrono::steady_clock;
     const auto t0 = clock::now();
-    const bench::SweepRunner grid_runner(jobs, pc, pool);
     auto finishes =
-        pc != nullptr
-            ? grid_runner.map<Time>(grid.size(), point_key,
-                                           compute_point)
-            : grid_runner.map<Time>(grid.size(), compute_point);
+        bench::SweepRunner(pool).map<Time>(grid.size(), compute_point);
     *seconds = std::chrono::duration<double>(clock::now() - t0).count();
     return finishes;
   };
@@ -275,10 +256,10 @@ int main(int argc, char** argv) {
                                      : std::max(2, core::hardware_jobs());
     core::ThreadPool pool(par_jobs - 1);
     double serial_s = 0, parallel_s = 0, warm = 0;
-    (void)run_grid(1, nullptr, nullptr, &warm);
-    (void)run_grid(par_jobs, nullptr, &pool, &warm);
-    const auto serial = run_grid(1, nullptr, nullptr, &serial_s);
-    const auto parallel = run_grid(par_jobs, nullptr, &pool, &parallel_s);
+    (void)run_grid(nullptr, &warm);
+    (void)run_grid(&pool, &warm);
+    const auto serial = run_grid(nullptr, &serial_s);
+    const auto parallel = run_grid(&pool, &parallel_s);
     const bool equal = serial == parallel;
     if (!equal) {
       std::cerr << "sweep model times diverge between --jobs 1 and --jobs "
@@ -321,20 +302,18 @@ int main(int argc, char** argv) {
       logp::Machine m(grid[b].p, logp::Params{16, 1, 2});
       return m.run(workload::hotspot(grid[b].p, grid[b].k)).finish_time;
     };
-    const int max_workers =
-        *std::max_element(job_counts.begin(), job_counts.end()) - 1;
-    core::ThreadPool pool(max_workers);
     for (const std::size_t n : sizes) {
       double base_s = 0;
       for (const int jobs : job_counts) {
-        // SweepRunner caps useful parallelism at its jobs value even when
-        // the shared pool is wider; a jobs-limited chunk count keeps the
-        // extra workers idle, so one max-width pool serves every leg.
+        // Each leg gets its own pool of jobs - 1 workers: for_ranges puts
+        // every worker of a pool to work, so a shared wider pool would run
+        // every leg at full width.
         using clock = std::chrono::steady_clock;
+        core::ThreadPool pool(jobs - 1);
         core::ThreadPool* p = jobs > 1 ? &pool : nullptr;
         auto leg = [&](double* seconds) {
           const auto t0 = clock::now();
-          const bench::SweepRunner r(jobs, nullptr, p);
+          const bench::SweepRunner r(p);
           auto out = r.map<Time>(n, tiled_point);
           *seconds =
               std::chrono::duration<double>(clock::now() - t0).count();
@@ -357,54 +336,8 @@ int main(int argc, char** argv) {
     micro_sweep_series.print(std::cout);
     std::cout << "\nmicro_sweep = grid points/sec as the grid grows and jobs "
                  "scale; speedup is\nrelative to the jobs-1 leg of the same "
-                 "grid size (persistent pool, warmed legs).\n\n";
+                 "grid size (persistent pool, warmed legs).\n";
   }
 
-  // Cache replay: the same grid computed cold into a scratch cache
-  // directory, then replayed warm from it. Warm results must equal cold
-  // ones and every point must hit; the wall-clock ratio is the
-  // `cache_replay_speedup` trajectory metric (target: >= 5x on full
-  // sweeps — replayed points skip machine construction entirely).
-  {
-    namespace fs = std::filesystem;
-    const fs::path replay_dir =
-        fs::temp_directory_path() /
-        ("bsplogp_replay_" + std::to_string(::getpid()));
-    fs::remove_all(replay_dir);
-    double cold_s = 0, warm_s = 0;
-    std::vector<Time> cold, warm;
-    cache::Stats warm_stats;
-    {
-      cache::PointCache pc(cache::Mode::kOn, replay_dir.string(),
-                           "engine_throughput", "hotspot");
-      cold = run_grid(1, &pc, nullptr, &cold_s);
-    }
-    {
-      cache::PointCache pc(cache::Mode::kOn, replay_dir.string(),
-                           "engine_throughput", "hotspot");
-      warm = run_grid(1, &pc, nullptr, &warm_s);
-      warm_stats = pc.stats();
-    }
-    fs::remove_all(replay_dir);
-    const bool equal = warm == cold;
-    if (!equal ||
-        warm_stats.hits != static_cast<std::int64_t>(grid.size())) {
-      std::cerr << "cache replay diverged: results equal=" << equal
-                << ", hits=" << warm_stats.hits << "/" << grid.size()
-                << "\n";
-      return 1;
-    }
-    const double replay_speedup = cold_s / warm_s;
-    replay_series.row({static_cast<std::int64_t>(grid.size()),
-                       bench::Cell(cold_s, 3), bench::Cell(warm_s, 3),
-                       bench::Cell(replay_speedup, 2), warm_stats.hits,
-                       equal ? "yes" : "NO"});
-    replay_series.print(std::cout);
-    rep.metric("cache_replay_speedup", replay_speedup);
-    rep.metric("cache_replay_hits", warm_stats.hits);
-    std::cout << "\ncache_replay_speedup = cold wall-clock over warm "
-                 "wall-clock for the same grid;\nwarm results are asserted "
-                 "identical to cold — replay never changes results.\n";
-  }
   return rep.finish();
 }

@@ -12,8 +12,8 @@
 // systematic drift is itself a result (the models deliberately ignore
 // memory hierarchy and contention beyond their parameters — Section 2 of
 // the paper). Everything here is wall-clock and machine-dependent by
-// design, so this bench registers no jobs-determinism or cache-replay
-// checks and runs serially.
+// design, so this bench registers no jobs-determinism check and runs
+// serially.
 #include <algorithm>
 #include <cmath>
 #include <optional>

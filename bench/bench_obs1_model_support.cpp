@@ -70,13 +70,6 @@ int main(int argc, char** argv) {
   const auto results = runner.map<PointResult>(
       kinds.size(),
       [&](std::size_t i) {
-        // Both fits draw from fixed seeds (31/37) inside the point; reps
-        // and p select the sampled relations, so they key the point.
-        return cache::PointKey{"topo=" + net::to_string(kinds[i]) + ";p=" +
-                               std::to_string(p) + ";reps=" +
-                               std::to_string(reps)};
-      },
-      [&](std::size_t i) {
         const net::Topology topo = net::make_topology(kinds[i], p);
         const net::PacketSim sim(topo);
         const auto fs = net::fit_route_params(sim, small_h, reps, 31);

@@ -68,15 +68,7 @@ int main(int argc, char** argv) {
 
   const bench::SweepRunner runner(rep);
   const auto results = runner.map<PointResult>(
-      grid.size(),
-      [&](std::size_t i) {
-        const logp::Params& prm = grid[i].regime->prm;
-        return cache::PointKey{"L=" + std::to_string(prm.L) + ";o=" +
-                               std::to_string(prm.o) + ";G=" +
-                               std::to_string(prm.G) + ";p=" +
-                               std::to_string(grid[i].p)};
-      },
-      [&](std::size_t i) { return run_point(grid[i]); });
+      grid.size(), [&](std::size_t i) { return run_point(grid[i]); });
 
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const auto& [prm, label] = *grid[i].regime;

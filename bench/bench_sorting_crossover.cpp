@@ -60,9 +60,8 @@ int main(int argc, char** argv) {
   std::cout << "E6 / Section 4.2: sorting-scheme crossover at p=" << p
             << " (columnsort validity threshold r >= " << 2 * (p - 1) * (p - 1)
             << ")\nLogP machine: L=16, o=1, G=2\n\n";
-  // --deep appends to the full grid (point keys include the index, so an
-  // extension must never shift existing points): the nightly farm run
-  // with a warm cache replays the regular r values and farms the tail.
+  // --deep appends to the full grid: point i draws its relation from
+  // rng_for_index(31, i), so an extension must never shift existing points.
   std::vector<Time> rs = rep.smoke()
                              ? std::vector<Time>{1, 16, 128}
                              : std::vector<Time>{1,   4,   16,  64,
@@ -73,19 +72,7 @@ int main(int argc, char** argv) {
   }
 
   const bench::SweepRunner runner(rep);
-  const auto results = runner.map<PointResult>(
-      rs.size(),
-      [&](std::size_t i) {
-        // Relations come from rng_for_index(31, i): index in the key.
-        return cache::PointKey{"p=" + std::to_string(p) + ";r=" +
-                                   std::to_string(rs[i]) + ";i=" +
-                                   std::to_string(i) + ";L=" +
-                                   std::to_string(prm.L) + ";o=" +
-                                   std::to_string(prm.o) + ";G=" +
-                                   std::to_string(prm.G),
-                               31};
-      },
-      [&](std::size_t i) {
+  const auto results = runner.map<PointResult>(rs.size(), [&](std::size_t i) {
     core::Rng rng = core::rng_for_index(31, i);
     const auto rel = routing::random_regular(p, rs[i], rng);
     PointResult r;

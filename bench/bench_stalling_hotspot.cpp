@@ -85,13 +85,6 @@ int main(int argc, char** argv) {
   const auto results = runner.map<PointResult>(
       grid.size(),
       [&](std::size_t i) {
-        return cache::PointKey{"p=" + std::to_string(grid[i].p) + ";k=" +
-                               std::to_string(grid[i].k) + ";L=" +
-                               std::to_string(prm.L) + ";o=" +
-                               std::to_string(prm.o) + ";G=" +
-                               std::to_string(prm.G)};
-      },
-      [&](std::size_t i) {
         return PointResult{
             run_hotspot(grid[i].p, grid[i].k, prm, false, nullptr),
             run_hotspot(grid[i].p, grid[i].k, prm, true, nullptr)};

@@ -84,17 +84,7 @@ int main(int argc, char** argv) {
 
   const bench::SweepRunner runner(rep);
   const auto results = runner.map<PointResult>(
-      ps.size(),
-      [&](std::size_t i) {
-        return cache::PointKey{"p=" + std::to_string(ps[i]) + ";k=" +
-                               std::to_string(k) + ";L=" +
-                               std::to_string(prm.L) + ";o=" +
-                               std::to_string(prm.o) + ";G=" +
-                               std::to_string(prm.G) + ";g=" +
-                               std::to_string(host.g) + ";l=" +
-                               std::to_string(host.l)};
-      },
-      [&](std::size_t i) { return run_point(ps[i], k, prm, host); });
+      ps.size(), [&](std::size_t i) { return run_point(ps[i], k, prm, host); });
 
   for (std::size_t i = 0; i < ps.size(); ++i) {
     const ProcId p = ps[i];

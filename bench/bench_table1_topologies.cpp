@@ -91,16 +91,7 @@ int main(int argc, char** argv) {
 
   const bench::SweepRunner runner(rep);
   const auto results = runner.map<PointResult>(
-      grid.size(),
-      [&](std::size_t i) {
-        // reps shapes the fit's sampled relations (seed 777 is fixed in
-        // run_point), so it belongs in the key alongside the grid params.
-        return cache::PointKey{"topo=" + net::to_string(grid[i].kind) +
-                                   ";p=" + std::to_string(grid[i].p) +
-                                   ";reps=" + std::to_string(reps),
-                               777};
-      },
-      [&](std::size_t i) { return run_point(grid[i], hs, reps); });
+      grid.size(), [&](std::size_t i) { return run_point(grid[i], hs, reps); });
 
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const PointResult& r = results[i];

@@ -5,6 +5,7 @@
 // simulation across a (g/G, l/L) grid, and report measured slowdown next
 // to the predicted multiplier 1 + g/G + l/L. The claim holds if the
 // measured/predicted ratio stays within a constant band across the grid.
+#include <functional>
 #include <iostream>
 
 #include "bench/harness.h"
@@ -26,8 +27,7 @@ struct Point {
 };
 
 /// What one grid point measures. Everything the table row needs comes back
-/// in one value, so points can run on any thread in any order — and, via
-/// io(), replay from the sweep cache without constructing a machine.
+/// in one value, so points can run on any thread in any order.
 struct PointResult {
   Time t_native = 0;
   Time t_bsp = 0;
@@ -78,9 +78,8 @@ int main(int argc, char** argv) {
   std::cout << "E1 / Theorem 1: stall-free LogP on BSP, slowdown "
                "O(1 + g/G + l/L)\n"
                "LogP machine: L=16, o=1, G=4 (capacity 4)\n\n";
-  // The --deep grids extend the full ones (never replace points): the
-  // nightly farm run with a warm cache replays every regular point and
-  // only farms out the extension.
+  // The --deep grids extend the full ones (never replace points), so
+  // every regular row reappears unchanged in the nightly deep run.
   const std::vector<ProcId> ps = rep.smoke()   ? std::vector<ProcId>{8}
                                  : rep.deep()  ? std::vector<ProcId>{16, 64, 128}
                                                : std::vector<ProcId>{16, 64};
@@ -104,16 +103,6 @@ int main(int argc, char** argv) {
   const bench::SweepRunner runner(rep);
   const auto results = runner.map<PointResult>(
       grid.size(),
-      [&](std::size_t i) {
-        // Deterministic workloads: the point's parameters are its whole
-        // identity (no RNG stream, so no index in the key).
-        const Point& pt = grid[i];
-        return cache::PointKey{
-            "wl=" + std::string(pt.name) + ";p=" + std::to_string(pt.p) +
-            ";gr=" + std::to_string(pt.gr) + ";lr=" + std::to_string(pt.lr) +
-            ";L=" + std::to_string(prm.L) + ";o=" + std::to_string(prm.o) +
-            ";G=" + std::to_string(prm.G)};
-      },
       [&](std::size_t i) { return run_point(grid[i], prm, nullptr); });
 
   double worst_ratio = 0;

@@ -103,17 +103,6 @@ int main(int argc, char** argv) {
   const auto results = runner.map<PointResult>(
       grid.size(),
       [&](std::size_t i) {
-        // The relation comes from rng_for_index(base_seed, i), so the grid
-        // index is part of the point's identity: reshaping the grid moves
-        // points onto different streams and must miss, not alias.
-        return cache::PointKey{
-            "p=" + std::to_string(grid[i].p) + ";h=" +
-                std::to_string(grid[i].h) + ";i=" + std::to_string(i) +
-                ";L=" + std::to_string(prm.L) + ";o=" + std::to_string(prm.o) +
-                ";G=" + std::to_string(prm.G),
-            base_seed};
-      },
-      [&](std::size_t i) {
         return run_point(grid[i], prm, base_seed, i, nullptr);
       });
 

@@ -102,17 +102,6 @@ int main(int argc, char** argv) {
   const bench::SweepRunner runner(rep);
   const auto results = runner.map<PointResult>(
       grid.size(),
-      [&](std::size_t i) {
-        const auto& prm = grid[i].regime->prm;
-        // seeds (the per-point repetition count) and the grid index both
-        // shape the drawn relations, so both are part of the key.
-        return cache::PointKey{
-            "L=" + std::to_string(prm.L) + ";o=" + std::to_string(prm.o) +
-                ";G=" + std::to_string(prm.G) + ";h=" +
-                std::to_string(grid[i].h) + ";p=" + std::to_string(p) +
-                ";seeds=" + std::to_string(seeds) + ";i=" + std::to_string(i),
-            9};
-      },
       [&](std::size_t i) { return run_point(grid[i], p, seeds, 9, i); });
 
   for (std::size_t i = 0; i < grid.size(); ++i) {

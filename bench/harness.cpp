@@ -8,11 +8,8 @@
 #include <mutex>
 #include <ostream>
 
-#include "src/cache/build_id.h"
 #include "src/core/contracts.h"
 #include "src/core/table.h"
-#include "src/farm/server.h"
-#include "src/farm/worker.h"
 #include "src/workload/workload.h"
 
 namespace bsplogp::bench {
@@ -30,33 +27,21 @@ std::string real_to_json(double v) {
   std::cerr << "bench_" << name << ": " << complaint << "\n"
             << "usage: bench_" << name
             << " [--smoke] [--jobs N] [--repeat N] [--json <path>]"
-               " [--trace <path>]"
-               " [--cache on|off|readonly] [--cache-dir <dir>] [--list]"
-               " [--deep] [--farm SPEC] [--connect HOST:PORT]\n"
+               " [--trace <path>] [--list] [--deep]\n"
             << "  --smoke        tiny CI sweep (ctest -L bench_smoke)\n"
             << "  --jobs N       run sweep grid points on N threads"
                " (N in 1..4096); output is identical for every N\n"
             << "  --repeat N     run every measurement N times (N in"
                " 1..1000): sweep points re-verify\n"
-               "                 byte-identical results, wall-clock loops"
+               "                 equal results, wall-clock loops"
                " report the median;\n"
                "                 output is identical for every N\n"
             << "  --json <path>  also write the machine-readable document\n"
-            << "  --trace <path> Chrome trace-event JSON of the traced runs"
-               " (forces --cache off)\n"
-            << "  --cache M      sweep-result cache: on (replay unchanged"
-               " grid points from disk\n"
-               "                 and commit new ones), readonly (replay"
-               " only), off (default)\n"
-            << "  --cache-dir D  cache directory (default .bsplogp-cache/)\n"
+            << "  --trace <path> Chrome trace-event JSON of the traced runs\n"
             << "  --list         list workload families and series, run"
                " nothing\n"
             << "  --deep         nightly grids: a strict superset of the"
-               " full grid\n"
-            << "  --farm SPEC    become a sweep-server; SPEC is "
-            << farm::farm_spec_forms() << "\n"
-            << "  --connect H:P  become a sweep-worker for the server at"
-               " host H, port P (1..65535)\n";
+               " full grid\n";
   std::exit(2);
 }
 
@@ -153,12 +138,8 @@ void Series::write_json(std::ostream& os) const {
 
 Reporter::Reporter(int argc, char** argv, std::string bench_name)
     : name_(std::move(bench_name)) {
-  bool saw_farm = false;
-  bool saw_connect = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--farm") saw_farm = true;
-    if (arg == "--connect") saw_connect = true;
     if (arg == "--smoke") {
       smoke_ = true;
     } else if (arg == "--list") {
@@ -171,20 +152,6 @@ Reporter::Reporter(int argc, char** argv, std::string bench_name)
       trace_path_ = argv[++i];
     } else if (arg == "--deep") {
       deep_ = true;
-    } else if (arg == "--farm") {
-      if (i + 1 >= argc)
-        usage_and_exit(name_, std::string("--farm needs a spec (want ") +
-                                  farm::farm_spec_forms() + ")");
-      std::string complaint;
-      if (!farm::parse_farm_spec(argv[++i], &farm_, &complaint))
-        usage_and_exit(name_, complaint);
-    } else if (arg == "--connect") {
-      if (i + 1 >= argc)
-        usage_and_exit(name_,
-                       "--connect needs HOST:PORT (port 1..65535)");
-      std::string complaint;
-      if (!farm::parse_connect_spec(argv[++i], &farm_, &complaint))
-        usage_and_exit(name_, complaint);
     } else if (arg == "--jobs") {
       if (i + 1 >= argc)
         usage_and_exit(name_, "--jobs needs a count (an integer 1..4096)");
@@ -203,113 +170,18 @@ Reporter::Reporter(int argc, char** argv, std::string bench_name)
         usage_and_exit(name_, std::string("bad --repeat value '") + argv[i] +
                                   "' (want an integer 1..1000)");
       repeat_ = static_cast<int>(v);
-    } else if (arg == "--cache") {
-      if (i + 1 >= argc) usage_and_exit(name_, "--cache needs a mode");
-      if (!cache::parse_mode(argv[++i], &cache_mode_))
-        usage_and_exit(name_, std::string("bad --cache value '") + argv[i] +
-                                  "' (want on, off, or readonly)");
-    } else if (arg == "--cache-dir") {
-      if (i + 1 >= argc) usage_and_exit(name_, "--cache-dir needs a path");
-      cache_dir_ = argv[++i];
     } else {
       usage_and_exit(name_, "unknown flag '" + arg + "'");
     }
   }
-  if (saw_farm && saw_connect)
-    usage_and_exit(name_,
-                   "--farm and --connect are mutually exclusive (a process"
-                   " is either the sweep-server or a sweep-worker)");
-  if (farm_.role == farm::Spec::Role::kServer && farm_.spawn_workers > 0) {
-    // Spawn template: this binary with this run's sweep-relevant flags.
-    // --json/--trace are stripped (the children's documents would race
-    // ours on the same paths; their stdout goes to /dev/null anyway) and
-    // the server appends --connect per child.
-    worker_argv_.push_back(argv[0] != nullptr && argv[0][0] != '\0'
-                               ? argv[0]
-                               : ("bench_" + name_));
-    if (smoke_) worker_argv_.push_back("--smoke");
-    if (deep_) worker_argv_.push_back("--deep");
-    if (jobs_ > 1) {
-      worker_argv_.push_back("--jobs");
-      worker_argv_.push_back(std::to_string(jobs_));
-    }
-    if (repeat_ > 1) {
-      // Workers compute the farmed points, so they carry the repeat
-      // re-verification too.
-      worker_argv_.push_back("--repeat");
-      worker_argv_.push_back(std::to_string(repeat_));
-    }
-    // --cache is deliberately NOT forwarded: the server alone owns the
-    // cache (it replays hits before farming and commits every accepted
-    // RESULT), so worker-side lookups would be redundant concurrent
-    // writers to the same directory.
-  }
-  if (!trace_path_.empty()) {
+  if (!trace_path_.empty())
     trace_ = std::make_unique<trace::ChromeTraceSink>();
-    if (cache_mode_ != cache::Mode::kOff) {
-      // A replayed point constructs no machine, so it emits no events;
-      // traces must observe the live execution (DESIGN.md §10).
-      std::cerr << "bench_" << name_
-                << ": --trace forces --cache off (traced runs always"
-                   " execute live)\n";
-      cache_mode_ = cache::Mode::kOff;
-    }
-  }
-}
-
-cache::PointCache* Reporter::cache() const {
-  if (cache_ == nullptr) {
-    std::string spec;
-    for (const std::string& w : workloads_) {
-      if (!spec.empty()) spec += ",";
-      spec += w;
-    }
-    cache_ = std::make_unique<cache::PointCache>(cache_mode_, cache_dir_,
-                                                 name_, spec);
-  }
-  return cache_.get();
 }
 
 core::ThreadPool* Reporter::pool() const {
   if (jobs_ <= 1) return nullptr;  // serial runs never spawn workers
   if (pool_ == nullptr) pool_ = std::make_unique<core::ThreadPool>(jobs_ - 1);
   return pool_.get();
-}
-
-farm::Dispatcher* Reporter::dispatcher() const {
-  if (dispatcher_ != nullptr) return dispatcher_.get();
-  switch (farm_.role) {
-    case farm::Spec::Role::kServer: {
-      farm::ServerOptions opt;
-      opt.spec = farm_;
-      opt.build_id = cache::effective_build_id();
-      opt.bench = name_;
-      opt.worker_argv = worker_argv_;
-      opt.diag = [](const std::string& line) { diag(line); };
-      auto server = std::make_unique<farm::FarmServerDispatcher>(
-          std::move(opt));
-      server_ = server.get();
-      dispatcher_ = std::move(server);
-      break;
-    }
-    case farm::Spec::Role::kWorker: {
-      farm::WorkerOptions opt;
-      opt.host = farm_.connect_host;
-      opt.port = farm_.connect_port;
-      opt.build_id = cache::effective_build_id();
-      opt.bench = name_;
-      opt.jobs = jobs_;
-      opt.pool = pool();
-      opt.diag = [](const std::string& line) { diag(line); };
-      dispatcher_ =
-          std::make_unique<farm::FarmWorkerDispatcher>(std::move(opt));
-      break;
-    }
-    case farm::Spec::Role::kNone:
-      dispatcher_ = std::make_unique<farm::LocalDispatcher>(jobs_, pool());
-      break;
-  }
-  return dispatcher_.get();
 }
 
 void Reporter::use_workloads(std::vector<std::string> names) {
@@ -363,14 +235,9 @@ void Reporter::diag(const std::string& line) {
 }
 
 void Reporter::write_json(std::ostream& os) const {
-  const cache::Stats cs = cache()->stats();
   os << "{\"bench\": \"" << json_escape(name_) << "\", \"smoke\": "
      << (smoke_ ? "true" : "false") << ", \"jobs\": " << jobs_
-     << ", \"repeat\": " << repeat_
-     << ", \"cache\": {\"mode\": \"" << cache::to_string(cache_mode_)
-     << "\", \"hits\": " << cs.hits << ", \"misses\": " << cs.misses
-     << ", \"stale_evictions\": " << cs.stale_evictions
-     << "}, \"metrics\": {";
+     << ", \"repeat\": " << repeat_ << ", \"metrics\": {";
   for (std::size_t i = 0; i < metrics_.size(); ++i) {
     if (i) os << ", ";
     os << "\"" << json_escape(metrics_[i].first)
@@ -396,36 +263,7 @@ int Reporter::finish() {
     }
     std::cout << "series:\n";
     for (const Series& s : series_) std::cout << "  " << s.id() << "\n";
-    std::cout << "cache: " << cache::to_string(cache_mode_) << ", dir "
-              << cache_dir_
-              << "  (--cache on|off|readonly, --cache-dir <path>; --trace"
-                 " forces off)\n";
     return 0;
-  }
-  if (cache_mode_ != cache::Mode::kOff) {
-    // stderr, never stdout: a warm run's tables must stay byte-identical
-    // to the cold run's. Through diag() so a straggling worker line can
-    // never tear the summary.
-    const cache::Stats cs = cache()->stats();
-    diag("cache[" + std::string(cache::to_string(cache_mode_)) + "]: " +
-         std::to_string(cs.hits) + " hits, " + std::to_string(cs.misses) +
-         " misses, " + std::to_string(cs.stale_evictions) +
-         " stale evictions -> " + cache_dir_);
-  }
-  if (server_ != nullptr) {
-    // stderr like the cache summary: farm accounting must never perturb
-    // the byte-identical stdout/JSON contract.
-    const farm::ServerStats& fs = server_->stats();
-    diag("farm[server]: " + std::to_string(fs.sweeps) + " sweeps, " +
-         std::to_string(fs.points) + " points (" +
-         std::to_string(fs.replayed) + " replayed, " +
-         std::to_string(fs.farmed) + " farmed, " +
-         std::to_string(fs.fallback) + " fallback); " +
-         std::to_string(fs.joined) + " workers joined, " +
-         std::to_string(fs.rejected) + " rejected, " +
-         std::to_string(fs.deaths) + " deaths, " +
-         std::to_string(fs.timeouts) + " timeouts, " +
-         std::to_string(fs.respawns) + " respawns");
   }
   if (trace_ != nullptr) {
     if (!trace_->write_file(trace_path_)) {

@@ -12,41 +12,21 @@
 //   bench_foo --jobs N         # run sweep grid points on N threads; output
 //                              # is byte-identical for every N
 //   bench_foo --repeat N       # run every measurement N times: sweep grid
-//                              # points re-verify byte-identical results,
+//                              # points re-verify equal results,
 //                              # wall-clock loops report the median; output
 //                              # is byte-identical for every N
-//   bench_foo --cache on       # content-addressed sweep cache: unchanged
-//                              # grid points replay from disk (DESIGN.md
-//                              # §10); `readonly` reads but never writes,
-//                              # `off` (default) computes everything live
-//   bench_foo --cache-dir D    # cache directory (default .bsplogp-cache/)
 //   bench_foo --list           # list workload families + series, run nothing
 //   bench_foo --deep           # nightly grids: a strict superset of the
 //                              # full grid (benches that support it)
-//   bench_foo --farm SPEC      # become a sweep-server (DESIGN.md §13):
-//                              # SPEC = N[,timeout=S][,respawns=R][,grace=S]
-//                              # spawns N localhost workers, or
-//                              # listen:PORT[,workers=N][,timeout=S][,grace=S]
-//                              # for multi-host; stdout/JSON stay
-//                              # byte-identical to a single-host run
-//   bench_foo --connect H:P    # become a sweep-worker for the server at
-//                              # host H port P (same build, same flags)
 // Unknown flags are an error (usage on stderr, exit 2), and every bad
 // flag VALUE enumerates the accepted forms in its complaint: a typo must
-// not silently run the wrong experiment. `--trace` forces the cache off:
-// a replayed point constructs no machine, so it would emit no events.
+// not silently run the wrong experiment.
 //
 // JSON shape:
-//   { "bench": "<name>", "smoke": false, "jobs": 1,
-//     "cache": { "mode": "off", "hits": 0, "misses": 0,
-//                "stale_evictions": 0 },
+//   { "bench": "<name>", "smoke": false, "jobs": 1, "repeat": 1,
 //     "metrics": { "<key>": <number>, ... },
 //     "series": [ { "id": "<id>", "columns": [...],
 //                   "rows": [[cell, ...], ...] }, ... ] }
-// The document is byte-identical between a cold and a warm run except for
-// the self-describing "cache" counters (cmake/cache_replay.cmake
-// normalizes exactly that block before demanding byte equality); stdout
-// is byte-identical unconditionally.
 // Cells are numbers (integral results exact, reals full-precision) or
 // strings; the table rendering applies core::fmt with the per-cell
 // precision instead.
@@ -55,23 +35,15 @@
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "src/cache/point_cache.h"
-#include "src/cache/point_codec.h"
+#include "bench/point_codec.h"
 #include "src/core/parallel.h"
-#include "src/farm/dispatcher.h"
-#include "src/farm/spec.h"
 #include "src/trace/chrome_sink.h"
 #include "src/workload/workload.h"
-
-namespace bsplogp::farm {
-class FarmServerDispatcher;
-}  // namespace bsplogp::farm
 
 namespace bsplogp::bench {
 
@@ -136,12 +108,12 @@ class Reporter {
   [[nodiscard]] int jobs() const { return jobs_; }
 
   /// Repetitions per measurement (--repeat N, default 1). Two consumers:
-  /// SweepRunner re-computes every live grid point N times and aborts
-  /// unless the PointCodec encodings are byte-identical (model results
-  /// must be a pure function of the grid point — repeats prove it, and
-  /// therefore never change output); wall-clock benches run each timing
-  /// loop N times and report the median, so BENCH_*.json trajectory
-  /// numbers stop jittering on loaded runners.
+  /// SweepRunner re-computes every grid point N times and aborts unless
+  /// the PointCodec encodings are byte-identical (model results must be a
+  /// pure function of the grid point — repeats prove it, and therefore
+  /// never change output); wall-clock benches run each timing loop N
+  /// times and report the median, so BENCH_*.json trajectory numbers stop
+  /// jittering on loaded runners.
   [[nodiscard]] int repeat() const { return repeat_; }
 
   /// --list mode: the bench declares its workloads and series, runs
@@ -149,8 +121,8 @@ class Reporter {
   [[nodiscard]] bool list() const { return list_; }
 
   /// --deep mode: nightly grids. A bench that supports it must extend its
-  /// full grid to a strict superset — never replace points — so a warm
-  /// cache from the regular run replays inside the deep run.
+  /// full grid to a strict superset — never replace or re-seed points — so
+  /// every full-grid point reappears in the deep run with the same result.
   [[nodiscard]] bool deep() const { return deep_; }
 
   /// Declares which registered workload families this bench sweeps.
@@ -162,18 +134,11 @@ class Reporter {
 
   /// Validates `spec` against the named family's declared parameter
   /// domains; on violation prints the domain-naming complaint (the same
-  /// farm-spec error style the flag parser uses) and exits 2. Benches
+  /// error style the flag parser uses) and exits 2. Benches
   /// call this on every grid Spec before instantiating it, so an
   /// out-of-domain sweep dies loudly instead of aborting mid-run.
   static workload::Spec checked_spec(const std::string& family,
                                      workload::Spec spec);
-
-  /// The sweep-result cache for this run (never null; mode kOff when
-  /// `--cache on|readonly` was not given, or when `--trace` is active —
-  /// traced runs always execute live). Created lazily so use_workloads()
-  /// declarations land in the cache key's workload spec; call it only
-  /// after declaring workloads (SweepRunner's Reporter constructor does).
-  [[nodiscard]] cache::PointCache* cache() const;
 
   /// The persistent worker pool for --jobs > 1 sweeps (null at --jobs 1).
   /// Spawned once on first use and shared by every SweepRunner built from
@@ -181,14 +146,6 @@ class Reporter {
   /// not once per map() — on tiny grids the transient pool's spawn cost
   /// was a measurable slice of the whole sweep.
   [[nodiscard]] core::ThreadPool* pool() const;
-
-  /// The sweep dispatch backend for this run (never null): a
-  /// farm::LocalDispatcher normally, the sweep-server coordinator under
-  /// --farm, the sweep-worker under --connect. Created lazily on first
-  /// use and shared by every SweepRunner built from this Reporter — which
-  /// is what keeps a multi-sweep bench's farm connection (and its sweep
-  /// sequence numbers) alive across map() calls.
-  [[nodiscard]] farm::Dispatcher* dispatcher() const;
 
   /// Null unless `--trace <path>` was given; otherwise a ChromeTraceSink
   /// the bench plugs into machine Options. Every traced run becomes one
@@ -209,7 +166,7 @@ class Reporter {
 
   /// Emits one whole diagnostic line to stderr, serialized process-wide.
   /// Sweep points run on pool workers under --jobs > 1; a worker warning
-  /// interleaved with the main thread's end-of-run cache summary must
+  /// interleaved with the main thread's end-of-run trace summary must
   /// never tear mid-line, so every stderr writer inside or after a sweep
   /// goes through here (finish() does for its own summaries).
   static void diag(const std::string& line);
@@ -232,14 +189,7 @@ class Reporter {
   bool deep_ = false;
   int jobs_ = 1;
   int repeat_ = 1;
-  cache::Mode cache_mode_ = cache::Mode::kOff;
-  std::string cache_dir_ = ".bsplogp-cache";
-  farm::Spec farm_;  // role kNone unless --farm / --connect was given
-  std::vector<std::string> worker_argv_;  // spawn template (see ctor)
-  mutable std::unique_ptr<cache::PointCache> cache_;  // lazy, see cache()
-  mutable std::unique_ptr<core::ThreadPool> pool_;    // lazy, see pool()
-  mutable std::unique_ptr<farm::Dispatcher> dispatcher_;  // lazy
-  mutable farm::FarmServerDispatcher* server_ = nullptr;  // stats view
+  mutable std::unique_ptr<core::ThreadPool> pool_;  // lazy, see pool()
   std::vector<std::string> workloads_;
   std::deque<Series> series_;  // deque: stable references across growth
   std::vector<std::pair<std::string, std::string>> metrics_;  // key -> json
@@ -251,69 +201,23 @@ class Reporter {
 /// rows/metrics. Because every point's result is a pure function of its
 /// index (model-time simulation + rng_for_index streams) and emission is
 /// serial and ordered, the bench output is byte-identical for every
-/// --jobs value (DESIGN.md §9), every cache state (§10), and every farm
-/// backend (§13).
-///
-/// PR 8 collapsed the old map/map_cached pair into one map() with an
-/// optional key-fn: map(n, fn) always computes live; map(n, key_fn, fn)
-/// replays points whose key is already in the cache and commits the
-/// rest. Either form compiles its grid down to a type-erased
-/// farm::GridView and hands it to the Reporter's Dispatcher — the local
-/// thread pool, the sweep-server, or a sweep-worker — which is how every
-/// bench gained `--farm` with no per-bench code. The cost of the
-/// generality is a codec requirement: R must be arithmetic or provide
-/// the io() member cache::PointCodec requires, because any sweep might
-/// now travel the wire.
+/// --jobs value and chunk size (DESIGN.md §9).
 class SweepRunner {
  public:
   explicit SweepRunner(const Reporter& rep)
-      : jobs_(rep.jobs()), repeat_(rep.repeat()), cache_(rep.cache()),
-        local_(rep.jobs(), rep.pool()), dispatcher_(rep.dispatcher()) {}
-  /// Backend-free form (tests, bench_engine's timed micro-sweeps): a
-  /// plain local dispatch over `jobs`, no farm. Allocation-free — the
-  /// LocalDispatcher is a value member, so constructing a SweepRunner in
-  /// a timing loop costs what it did before the farm existed.
-  explicit SweepRunner(int jobs, cache::PointCache* cache = nullptr,
-                       core::ThreadPool* pool = nullptr, int repeat = 1)
-      : jobs_(jobs), repeat_(repeat), cache_(cache), local_(jobs, pool),
-        dispatcher_(&local_) {}
+      : SweepRunner(rep.pool(), rep.repeat()) {}
+  /// Grids run in ranges on `pool`'s workers plus the calling thread, or
+  /// inline on the calling thread when `pool` is null (--jobs 1).
+  explicit SweepRunner(core::ThreadPool* pool, int repeat = 1)
+      : pool_(pool), repeat_(repeat) {}
 
-  SweepRunner(const SweepRunner& other)
-      : jobs_(other.jobs_), repeat_(other.repeat_), cache_(other.cache_),
-        local_(other.local_),
-        dispatcher_(other.dispatcher_ == &other.local_ ? &local_
-                                                       : other.dispatcher_) {}
-  SweepRunner& operator=(const SweepRunner&) = delete;
-
-  [[nodiscard]] int jobs() const { return jobs_; }
-
-  /// Keyless sweep: every point computes live (no cache even when one is
-  /// enabled — there is no key to look up).
+  /// Returns fn(i) for every i in [0, n), by index. R must be
+  /// default-constructible and PointCodec-encodable (arithmetic, or a
+  /// struct listing its fields in io()), which is what --repeat compares.
   template <typename R, typename F>
   [[nodiscard]] std::vector<R> map(std::size_t n, const F& fn) const {
-    const auto no_key = [](std::size_t) { return cache::PointKey{}; };
-    return run_grid<R>(n, false, no_key, fn);
-  }
-
-  /// Cached sweep. key_fn(i) must be a pure function of the grid
-  /// definition (never of prior results); fn(i) runs only on cache
-  /// misses.
-  template <typename R, typename K, typename F>
-  [[nodiscard]] std::vector<R> map(std::size_t n, const K& key_fn,
-                                   const F& fn) const {
-    const bool cached = cache_ != nullptr && cache_->enabled();
-    return run_grid<R>(n, cached, key_fn, fn);
-  }
-
- private:
-  /// Compiles the typed sweep into a farm::GridView over `out` and runs
-  /// the backend. The closures reference locals; the view dies with this
-  /// frame, which satisfies GridView's only-during-run() lifetime rule.
-  template <typename R, typename K, typename F>
-  [[nodiscard]] std::vector<R> run_grid(std::size_t n, bool cached,
-                                        const K& key_fn, const F& fn) const {
     std::vector<R> out(n);
-    // Live compute, under --repeat N re-evaluated N times with the
+    // Under --repeat N every point is re-evaluated N times with the
     // PointCodec encodings demanded byte-identical: a sweep point must be
     // a pure function of its grid index, so repeats can only confirm the
     // result, never change it — which is what keeps output byte-identical
@@ -322,10 +226,10 @@ class SweepRunner {
     // dies loudly instead of poisoning the trajectory.
     const auto compute_checked = [&](std::size_t i) {
       R first = fn(i);
+      if (repeat_ == 1) return first;
+      const std::string bytes = PointCodec::encode(first);
       for (int r = 1; r < repeat_; ++r) {
-        const R again = fn(i);
-        if (cache::PointCodec::encode(again) !=
-            cache::PointCodec::encode(first)) {
+        if (PointCodec::encode(fn(i)) != bytes) {
           Reporter::diag("sweep: grid point " + std::to_string(i) +
                          " is nondeterministic across --repeat runs");
           std::abort();
@@ -333,50 +237,24 @@ class SweepRunner {
       }
       return first;
     };
-    farm::GridView grid;
-    grid.n = n;
-    // Range compute: one std::function call per chunk; the per-point
-    // calls inside are direct and inlinable. Results commit by index, so
-    // output is byte-identical for every jobs value and chunk size
-    // (jobs_determinism.cmake forces pathological chunks to prove it).
-    grid.compute_range = [&, cached](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) {
-        if (cached) {
-          const cache::PointKey key = key_fn(i);
-          if (cache_->try_get(key, &out[i])) continue;
-          out[i] = compute_checked(i);
-          cache_->put(key, out[i]);
-        } else {
-          out[i] = compute_checked(i);
-        }
-      }
+    // One call per claimed range; the per-point calls inside are direct
+    // and inlinable. Results commit by index, so output is byte-identical
+    // for every jobs value and chunk size (jobs_determinism.cmake forces
+    // pathological chunks to prove it).
+    const auto body = [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) out[i] = compute_checked(i);
     };
-    grid.replay = [&, cached](std::size_t i) {
-      return cached && cache_->try_get(key_fn(i), &out[i]);
-    };
-    grid.reencode = [&](std::size_t i) {
-      return cache::PointCodec::encode(out[i]);
-    };
-    grid.install = [&](std::size_t i, const std::string& payload) {
-      return cache::PointCodec::decode(payload, &out[i]);
-    };
-    grid.accept = [&, cached](std::size_t i, const std::string& payload) {
-      if (!cache::PointCodec::decode(payload, &out[i])) return false;
-      if (cached) cache_->put(key_fn(i), out[i]);
-      return true;
-    };
-    dispatcher_->run(grid);
+    if (pool_ == nullptr) {
+      body(0, n);
+    } else {
+      pool_->for_ranges(n, body);
+    }
     return out;
   }
 
-  int jobs_;
-  int repeat_ = 1;
-  cache::PointCache* cache_ = nullptr;
-  farm::LocalDispatcher local_;
-  farm::Dispatcher* dispatcher_;
+ private:
+  core::ThreadPool* pool_;
+  int repeat_;
 };
-
-/// JSON string escaping (quotes, backslashes, control characters).
-[[nodiscard]] std::string json_escape(const std::string& s);
 
 }  // namespace bsplogp::bench

@@ -1,24 +1,22 @@
-// Byte-exact point-result codec, shared by the sweep cache's on-disk
-// entries (point_cache.h) and the sweep farm's wire payloads
-// (src/farm) — one serialization path, so a result that replays from
-// disk and one that arrives over a socket are the same bytes.
+// Byte-exact point-result codec: the --repeat proof. SweepRunner encodes
+// every re-evaluation of a grid point and demands the bytes identical to
+// the first (harness.h), so a result field that drifts between runs dies
+// loudly instead of reaching a table.
 //
 // A result type opts in by exposing
 //
 //   template <class Ar> void io(Ar& ar) { ar(a); ar(b); ... }
 //
 // listing every member in a fixed order; nested structs with io() compose.
-// Arithmetic result types (Time, double, ...) need nothing. The codec
-// round-trips exactly: int64 as decimal, double as %.17g (re-parsed by
-// strtod to the identical bits), bool as true/false, strings escaped —
-// which is what makes a replayed or farmed sweep's stdout/JSON
-// byte-identical to the locally computed one (the byte-identity ctests
-// enforce this end to end).
+// Arithmetic result types (Time, double, ...) need nothing. The encoding
+// is exact: int64 as decimal, double as %.17g (re-parsed by strtod to the
+// identical bits, signed zero included), bool as true/false, strings
+// escaped. Equal bytes therefore mean equal results, and a signed-zero
+// flip — which operator== would miss — still counts as a divergence.
 //
-// Decode failures (a tampered payload, a schema drift between peers)
-// never produce a partial result: decode returns false and the caller's
-// value is untouched. The farm treats a failed decode as a poisoned
-// worker; the cache demotes it to a miss.
+// decode is the inverse. The round-trip tests use it to prove the
+// encoding lossless; it never produces a partial result: on any arity or
+// type mismatch it returns false and the caller's value is untouched.
 #pragma once
 
 #include <cinttypes>
@@ -30,7 +28,11 @@
 
 #include "src/core/json.h"
 
-namespace bsplogp::cache {
+namespace bsplogp::bench {
+
+/// JSON string escaping (quotes, backslashes, control characters). Shared
+/// by the codec's string fields and the Reporter's string cells.
+[[nodiscard]] std::string json_escape(const std::string& s);
 
 /// Accumulates fields into the JSON payload array.
 class Encoder {
@@ -49,7 +51,7 @@ class Encoder {
       std::snprintf(buf, sizeof buf, "%.17g", static_cast<double>(v));
       append(buf);
     } else if constexpr (std::is_same_v<T, std::string>) {
-      append("\"" + escaped(v) + "\"");
+      append("\"" + json_escape(v) + "\"");
     } else {
       const_cast<T&>(v).io(*this);  // io() only reads under an Encoder
     }
@@ -58,7 +60,6 @@ class Encoder {
   [[nodiscard]] std::string str() const { return "[" + body_ + "]"; }
 
  private:
-  static std::string escaped(const std::string& s);
   void append(const std::string& tok) {
     if (!body_.empty()) body_ += ", ";
     body_ += tok;
@@ -119,10 +120,7 @@ class Decoder {
   bool ok_ = true;
 };
 
-/// The public face: PointCodec::encode / PointCodec::decode. The
-/// string-taking decode overload parses the payload first (the farm's
-/// wire entry point); the JsonValue overload is for callers that already
-/// hold a parsed entry (the cache store).
+/// The public face: PointCodec::encode / PointCodec::decode.
 struct PointCodec {
   template <typename R>
   [[nodiscard]] static std::string encode(const R& r) {
@@ -132,8 +130,12 @@ struct PointCodec {
   }
 
   template <typename R>
-  [[nodiscard]] static bool decode(const core::JsonValue& payload, R* out) {
-    if (payload.type != core::JsonValue::Type::Array) return false;
+  [[nodiscard]] static bool decode(const std::string& payload_json, R* out) {
+    core::JsonValue payload;
+    if (!core::JsonParser(payload_json).parse(payload) ||
+        payload.type != core::JsonValue::Type::Array) {
+      return false;
+    }
     R tmp{};
     Decoder dec(payload);
     dec(tmp);
@@ -141,24 +143,6 @@ struct PointCodec {
     *out = tmp;
     return true;
   }
-
-  template <typename R>
-  [[nodiscard]] static bool decode(const std::string& payload_json, R* out) {
-    core::JsonValue payload;
-    if (!core::JsonParser(payload_json).parse(payload)) return false;
-    return decode(payload, out);
-  }
 };
 
-// Compatibility spellings used by the cache internals.
-template <typename R>
-[[nodiscard]] std::string encode_result(const R& r) {
-  return PointCodec::encode(r);
-}
-
-template <typename R>
-[[nodiscard]] bool decode_result(const core::JsonValue& payload, R* out) {
-  return PointCodec::decode(payload, out);
-}
-
-}  // namespace bsplogp::cache
+}  // namespace bsplogp::bench

@@ -1,10 +1,10 @@
-// Minimal JSON parser for subsystems that must read back documents the
-// repo itself emits (the sweep cache's on-disk entries). The repo has no
-// JSON dependency; this is the production sibling of tests/support/json.h
-// with one extra guarantee the cache needs: numbers keep their raw
-// spelling (`raw`) so callers can reparse them as int64 or double without
-// going through a lossy double (model times are int64 and can exceed
-// 2^53 in principle).
+// Minimal JSON parser for code that must read back documents the repo
+// itself emits (the point-result codec's payloads, bench/point_codec.h).
+// The repo has no JSON dependency; this is the production sibling of
+// tests/support/json.h with one extra guarantee the codec needs: numbers
+// keep their raw spelling (`raw`) so callers can reparse them as int64 or
+// double without going through a lossy double (model times are int64 and
+// can exceed 2^53 in principle).
 //
 // Scope: well-formed documents produced by this codebase. \uXXXX escapes
 // decode to UTF-8 (the codec emits \u00XX for control bytes in strings,
@@ -100,7 +100,7 @@ class JsonParser {
           case 'u': {
             if (pos_ + 4 >= s_.size()) return false;
             unsigned v = 0;
-            for (int i = 1; i <= 4; ++i) {
+            for (std::size_t i = 1; i <= 4; ++i) {
               const char h = s_[pos_ + i];
               v <<= 4;
               if (h >= '0' && h <= '9') v |= static_cast<unsigned>(h - '0');

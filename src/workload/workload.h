@@ -215,7 +215,7 @@ struct Entry {
   /// value the Spec defaults make sensible.
   std::vector<ParamDomain> domains;
   /// Optional cross-field check (e.g. grid_rows must divide p). Returns
-  /// false and fills *error in the farm-spec style on violation.
+  /// false and fills *error with a "bad <field> ..." message on violation.
   std::function<bool(const Spec&, std::string*)> constraint;
 };
 
@@ -229,8 +229,8 @@ struct Entry {
 [[nodiscard]] std::string describe_domains(const Entry& e);
 
 /// True iff `s` lies inside every declared domain of `e` and satisfies its
-/// constraint. On violation fills *error (if non-null) in the farm spec
-/// style, naming the offending value and the accepted domain, e.g.
+/// constraint. On violation fills *error (if non-null) with a message
+/// naming the offending value and the accepted domain, e.g.
 /// "bad nx '8' for sample-sort (want 4..1048576)".
 [[nodiscard]] bool validate(const Entry& e, const Spec& s,
                             std::string* error = nullptr);

@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <filesystem>
 #include <initializer_list>
 #include <sstream>
 #include <string>
@@ -128,6 +127,54 @@ TEST(ReporterDeathTest, UnknownFlagDiesWithUsageAndExitCode2) {
               ::testing::ExitedWithCode(2), "unknown flag '--frobnicate'");
 }
 
+TEST(ReporterDeathTest, BadCacheFlagsDieWithExitCode2) {
+  // There is no sweep cache: every spelling that once configured it is an
+  // unknown flag, never a silently ignored one.
+  {
+    Argv args({"--cache", "on"});
+    EXPECT_EXIT(Reporter(args.argc(), args.argv(), "unit"),
+                ::testing::ExitedWithCode(2), "unknown flag '--cache'");
+  }
+  {
+    Argv args({"--cache"});
+    EXPECT_EXIT(Reporter(args.argc(), args.argv(), "unit"),
+                ::testing::ExitedWithCode(2), "unknown flag '--cache'");
+  }
+  {
+    Argv args({"--smoke", "--cache-dir", "sweep-cache"});
+    EXPECT_EXIT(Reporter(args.argc(), args.argv(), "unit"),
+                ::testing::ExitedWithCode(2), "unknown flag '--cache-dir'");
+  }
+}
+
+TEST(ReporterDeathTest, BadFarmFlagsDieEnumeratingTheValidForms) {
+  // Sweeps run on this host only: the farm spellings are unknown flags,
+  // and the complaint carries the usage line that names every accepted
+  // flag.
+  const char* const usage =
+      "usage: bench_unit \\[--smoke\\] \\[--jobs N\\] \\[--repeat N\\] "
+      "\\[--json <path>\\] \\[--trace <path>\\] \\[--list\\] \\[--deep\\]";
+  {
+    Argv args({"--farm", "2"});
+    EXPECT_EXIT(Reporter(args.argc(), args.argv(), "unit"),
+                ::testing::ExitedWithCode(2), "unknown flag '--farm'");
+    EXPECT_EXIT(Reporter(args.argc(), args.argv(), "unit"),
+                ::testing::ExitedWithCode(2), usage);
+  }
+  {
+    Argv args({"--farm", "listen:9000"});
+    EXPECT_EXIT(Reporter(args.argc(), args.argv(), "unit"),
+                ::testing::ExitedWithCode(2), "unknown flag '--farm'");
+  }
+  {
+    Argv args({"--connect", "localhost:9"});
+    EXPECT_EXIT(Reporter(args.argc(), args.argv(), "unit"),
+                ::testing::ExitedWithCode(2), "unknown flag '--connect'");
+    EXPECT_EXIT(Reporter(args.argc(), args.argv(), "unit"),
+                ::testing::ExitedWithCode(2), usage);
+  }
+}
+
 TEST(ReporterDeathTest, BadJobsValuesDieWithExitCode2) {
   {
     Argv args({"--jobs", "0"});
@@ -212,8 +259,8 @@ TEST(Reporter, ListModeEnumeratesWorkloadsAndSeriesAndRunsNothing) {
 }
 
 TEST(SweepRunner, MapCommitsResultsByIndex) {
-  const SweepRunner runner(4);
-  EXPECT_EQ(runner.jobs(), 4);
+  core::ThreadPool pool(3);
+  const SweepRunner runner(&pool);
   const auto out = runner.map<std::size_t>(
       100, [](std::size_t i) { return i * i; });
   ASSERT_EQ(out.size(), 100u);
@@ -221,8 +268,9 @@ TEST(SweepRunner, MapCommitsResultsByIndex) {
 }
 
 /// Point result for sweep_document (namespace scope: every map() result
-/// type must carry the io() member template the codec needs — the sweep
-/// could be farmed — and local classes cannot declare member templates).
+/// type must carry the io() member template PointCodec needs for the
+/// --repeat comparison, and local classes cannot declare member
+/// templates).
 struct SweepDocResult {
   Time finish = 0;
   std::int64_t messages = 0;
@@ -272,166 +320,31 @@ std::string sweep_document(const SweepRunner& runner) {
   return os.str();
 }
 
-TEST(ReporterDeathTest, BadCacheFlagsDieWithExitCode2) {
-  {
-    Argv args({"--cache", "sometimes"});
-    EXPECT_EXIT(Reporter(args.argc(), args.argv(), "unit"),
-                ::testing::ExitedWithCode(2),
-                "bad --cache value 'sometimes'");
-  }
-  {
-    Argv args({"--cache"});
-    EXPECT_EXIT(Reporter(args.argc(), args.argv(), "unit"),
-                ::testing::ExitedWithCode(2), "--cache needs a mode");
-  }
-  {
-    Argv args({"--cache-dir"});
-    EXPECT_EXIT(Reporter(args.argc(), args.argv(), "unit"),
-                ::testing::ExitedWithCode(2), "--cache-dir needs a path");
-  }
-}
-
-TEST(ReporterDeathTest, BadFarmFlagsDieEnumeratingTheValidForms) {
-  {
-    // A bad --farm value must name every accepted form, not just complain.
-    Argv args({"--farm", "zero"});
-    EXPECT_EXIT(Reporter(args.argc(), args.argv(), "unit"),
-                ::testing::ExitedWithCode(2),
-                "want N\\[,timeout=S\\]\\[,respawns=R\\]\\[,grace=S\\] or "
-                "listen:PORT");
-  }
-  {
-    Argv args({"--farm", "2,respawns=lots"});
-    EXPECT_EXIT(Reporter(args.argc(), args.argv(), "unit"),
-                ::testing::ExitedWithCode(2), "bad respawns 'lots'");
-  }
-  {
-    Argv args({"--farm", "listen:99999"});
-    EXPECT_EXIT(Reporter(args.argc(), args.argv(), "unit"),
-                ::testing::ExitedWithCode(2), "bad listen port");
-  }
-  {
-    Argv args({"--farm"});
-    EXPECT_EXIT(Reporter(args.argc(), args.argv(), "unit"),
-                ::testing::ExitedWithCode(2), "--farm needs a spec");
-  }
-  {
-    Argv args({"--connect", "no-port-here"});
-    EXPECT_EXIT(Reporter(args.argc(), args.argv(), "unit"),
-                ::testing::ExitedWithCode(2),
-                "want HOST:PORT, port 1..65535");
-  }
-  {
-    // One process cannot be both ends of the farm.
-    Argv args({"--farm", "2", "--connect", "localhost:9"});
-    EXPECT_EXIT(Reporter(args.argc(), args.argv(), "unit"),
-                ::testing::ExitedWithCode(2), "mutually exclusive");
-  }
-}
-
-TEST(Reporter, JsonCarriesTheCacheBlock) {
-  Argv args({"--smoke"});
-  Reporter rep(args.argc(), args.argv(), "unit");
-  std::ostringstream os;
-  rep.write_json(os);
-  JsonValue v;
-  ASSERT_TRUE(JsonParser(os.str()).parse(v)) << os.str();
-  const JsonValue* c = v.find("cache");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->find("mode")->str, "off");  // default
-  EXPECT_EQ(c->find("hits")->number, 0);
-  EXPECT_EQ(c->find("misses")->number, 0);
-  EXPECT_EQ(c->find("stale_evictions")->number, 0);
-}
-
-TEST(Reporter, TraceForcesCacheOff) {
-  const std::string trace_path =
-      ::testing::TempDir() + "/bsplogp_harness_trace_cache.json";
-  Argv args({"--trace", trace_path.c_str(), "--cache", "on"});
-  ::testing::internal::CaptureStderr();
-  Reporter rep(args.argc(), args.argv(), "unit");
-  const std::string err = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("--trace forces --cache off"), std::string::npos);
-  ASSERT_NE(rep.trace_sink(), nullptr);
-  EXPECT_EQ(rep.cache()->mode(), cache::Mode::kOff);
-}
-
-/// Point result for the cached-map replay test (namespace scope: local
-/// classes cannot carry the io() member template the codec needs).
-struct CachedSweepResult {
-  Time finish = 0;
-  double ratio = 0;
-
-  friend bool operator==(const CachedSweepResult&,
-                         const CachedSweepResult&) = default;
-
-  template <class Ar>
-  void io(Ar& ar) {
-    ar(finish);
-    ar(ratio);
-  }
-};
-
-TEST(SweepRunner, CachedMapReplaysTheColdRunByteExactly) {
-  const std::string dir =
-      ::testing::TempDir() + "/bsplogp_harness_map_cached";
-  std::filesystem::remove_all(dir);
-  const std::vector<ProcId> ps{4, 8, 16};
-  const auto key_fn = [&](std::size_t i) {
-    return cache::PointKey{"p=" + std::to_string(ps[i])};
-  };
-  std::atomic<int> computed{0};
-  const auto compute = [&](std::size_t i) {
-    computed.fetch_add(1);
-    logp::Machine m(ps[i], logp::Params{12, 1, 3});
-    const auto st = m.run(workload::hotspot(ps[i], 2));
-    return CachedSweepResult{st.finish_time,
-                             static_cast<double>(st.messages) / 3.0};
-  };
-
-  const auto sweep = [&](cache::PointCache* pc) {
-    return SweepRunner(2, pc).map<CachedSweepResult>(ps.size(), key_fn,
-                                                     compute);
-  };
-  cache::PointCache cold(cache::Mode::kOn, dir, "unit", "hotspot", "b1");
-  cache::PointCache warm(cache::Mode::kOn, dir, "unit", "hotspot", "b1");
-  const auto first = sweep(&cold);
-  EXPECT_EQ(computed.load(), 3);
-  const auto second = sweep(&warm);
-  EXPECT_EQ(computed.load(), 3);  // warm run computed nothing
-  EXPECT_EQ(second, first);
-  EXPECT_EQ(warm.stats().hits, 3);
-  EXPECT_EQ(warm.stats().misses, 0);
-
-  // A cacheless runner and a disabled cache both take the plain path.
-  cache::PointCache off(cache::Mode::kOff, dir, "unit", "hotspot", "b1");
-  EXPECT_EQ(sweep(nullptr), first);
-  EXPECT_EQ(sweep(&off), first);
-  EXPECT_EQ(computed.load(), 9);
-  std::filesystem::remove_all(dir);
-}
-
 TEST(SweepRunner, DocumentIsByteIdenticalAcrossJobCounts) {
   // The §9 determinism contract, end to end: the same grid swept on 1 and
   // on 4 threads yields byte-identical documents (not merely equal values).
-  const std::string serial = sweep_document(SweepRunner(1));
-  EXPECT_EQ(sweep_document(SweepRunner(4)), serial);
-  EXPECT_EQ(sweep_document(SweepRunner(3)), serial);
+  core::ThreadPool pool4(3);
+  core::ThreadPool pool3(2);
+  const std::string serial = sweep_document(SweepRunner(nullptr));
+  EXPECT_EQ(sweep_document(SweepRunner(&pool4)), serial);
+  EXPECT_EQ(sweep_document(SweepRunner(&pool3)), serial);
   JsonValue v;
   ASSERT_TRUE(JsonParser(serial).parse(v));  // and it is valid JSON
   EXPECT_GT(v.find("metrics")->find("total_model_time")->number, 0);
 }
 
 TEST(SweepRunner, RepeatReVerifiesEveryPointWithoutChangingTheDocument) {
-  // --repeat 3 evaluates every live point three times, asserts the
-  // encodings byte-identical, and must not change a byte of the document
-  // relative to a single-evaluation sweep — on any jobs count.
-  const std::string baseline = sweep_document(SweepRunner(1));
-  EXPECT_EQ(sweep_document(SweepRunner(1, nullptr, nullptr, 3)), baseline);
-  EXPECT_EQ(sweep_document(SweepRunner(4, nullptr, nullptr, 3)), baseline);
+  // --repeat 3 evaluates every point three times, asserts the results
+  // equal, and must not change a byte of the document relative to a
+  // single-evaluation sweep — on any jobs count.
+  core::ThreadPool pool4(3);
+  core::ThreadPool pool2(1);
+  const std::string baseline = sweep_document(SweepRunner(nullptr));
+  EXPECT_EQ(sweep_document(SweepRunner(nullptr, 3)), baseline);
+  EXPECT_EQ(sweep_document(SweepRunner(&pool4, 3)), baseline);
 
   std::atomic<int> computed{0};
-  const auto out = SweepRunner(2, nullptr, nullptr, 3).map<std::size_t>(
+  const auto out = SweepRunner(&pool2, 3).map<std::size_t>(
       10, [&](std::size_t i) {
         computed.fetch_add(1);
         return i * 7;
@@ -440,32 +353,20 @@ TEST(SweepRunner, RepeatReVerifiesEveryPointWithoutChangingTheDocument) {
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * 7);
 }
 
-TEST(SweepRunner, RepeatSkipsCacheReplaysAndCommitsOneResult) {
-  // Replayed points never re-compute (there is nothing to verify against
-  // the wire payload), and a repeated live point commits exactly one
-  // cache entry.
-  const std::string dir = ::testing::TempDir() + "/bsplogp_harness_repeat";
-  std::filesystem::remove_all(dir);
-  const auto key_fn = [](std::size_t i) {
-    return cache::PointKey{"rp=" + std::to_string(i)};
-  };
-  std::atomic<int> computed{0};
-  const auto compute = [&](std::size_t i) {
-    computed.fetch_add(1);
-    return CachedSweepResult{static_cast<Time>(i * 3), 0.5};
-  };
-  cache::PointCache cold(cache::Mode::kOn, dir, "unit", "repeat", "b1");
-  const auto first = SweepRunner(1, &cold, nullptr, 2)
-                         .map<CachedSweepResult>(4, key_fn, compute);
-  EXPECT_EQ(computed.load(), 8);  // 4 points x repeat 2
-  cache::PointCache warm(cache::Mode::kOn, dir, "unit", "repeat", "b1");
-  const auto second = SweepRunner(1, &warm, nullptr, 2)
-                          .map<CachedSweepResult>(4, key_fn, compute);
-  EXPECT_EQ(computed.load(), 8);  // all replayed, none re-verified
-  EXPECT_EQ(second, first);
-  EXPECT_EQ(warm.stats().hits, 4);
-  std::filesystem::remove_all(dir);
-}
+/// A struct result for the --repeat death test: the comparison covers
+/// every field io() lists, the last one included.
+struct DriftResult {
+  Time finish = 0;
+  std::int64_t messages = 0;
+  double ratio = 0;
+
+  template <class Ar>
+  void io(Ar& ar) {
+    ar(finish);
+    ar(messages);
+    ar(ratio);
+  }
+};
 
 TEST(SweepRunnerDeathTest, NondeterministicPointDiesUnderRepeat) {
   // A point whose result differs between evaluations is a determinism bug
@@ -474,10 +375,29 @@ TEST(SweepRunnerDeathTest, NondeterministicPointDiesUnderRepeat) {
   EXPECT_DEATH(
       {
         int calls = 0;
-        (void)SweepRunner(1, nullptr, nullptr, 2)
-            .map<std::size_t>(1, [&](std::size_t) {
-              return static_cast<std::size_t>(calls++);
-            });
+        (void)SweepRunner(nullptr, 2).map<std::size_t>(1, [&](std::size_t) {
+          return static_cast<std::size_t>(calls++);
+        });
+      },
+      "nondeterministic across --repeat");
+  // A struct result is compared whole: a drift in its last field alone
+  // must die too.
+  EXPECT_DEATH(
+      {
+        int calls = 0;
+        (void)SweepRunner(nullptr, 2).map<DriftResult>(1, [&](std::size_t) {
+          return DriftResult{7, 3, 0.5 + calls++};
+        });
+      },
+      "nondeterministic across --repeat");
+  // The comparison is on encodings, so a signed-zero flip — equal under
+  // operator== — is a divergence too.
+  EXPECT_DEATH(
+      {
+        int calls = 0;
+        (void)SweepRunner(nullptr, 2).map<double>(1, [&](std::size_t) {
+          return calls++ == 0 ? 0.0 : -0.0;
+        });
       },
       "nondeterministic across --repeat");
 }

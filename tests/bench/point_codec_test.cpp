@@ -1,10 +1,12 @@
-// cache::PointCodec (src/cache/point_codec.h): the byte-exact result
-// codec shared by the sweep cache's disk entries and the farm's wire
-// payloads. Round-trip fuzz proves decode(encode(v)) == v bit for bit
-// over randomized values (including doubles with full mantissas);
-// rejection fuzz proves a mutated payload never yields a silent partial
-// decode — it either still parses to a full valid value or decode
-// returns false and leaves the output untouched.
+// bench::PointCodec (bench/point_codec.h): the byte-exact result codec
+// behind SweepRunner's --repeat comparison. Round-trip fuzz proves
+// decode(encode(v)) == v bit for bit over randomized values (including
+// doubles with full mantissas), so byte-identical encodings mean equal
+// results; rejection fuzz proves a mutated payload never yields a silent
+// partial decode — it either still parses to a full valid value or
+// decode returns false and leaves the output untouched.
+#include "bench/point_codec.h"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,11 +15,10 @@
 #include <limits>
 #include <string>
 
-#include "src/cache/point_codec.h"
 #include "src/core/json.h"
 #include "src/core/rng.h"
 
-namespace bsplogp::cache {
+namespace bsplogp::bench {
 namespace {
 
 struct Inner {
@@ -86,8 +87,7 @@ TEST(PointCodec, RoundTripFuzzIsBitExact) {
     Outer back;
     ASSERT_TRUE(PointCodec::decode(payload, &back)) << payload;
     EXPECT_EQ(back, v) << payload;
-    // And the re-encode is byte-identical — the property the farm's
-    // end-of-sweep broadcast and the warm-cache replay both lean on.
+    // And the re-encode is byte-identical: one value, one spelling.
     EXPECT_EQ(PointCodec::encode(back), payload);
   }
 }
@@ -164,7 +164,7 @@ TEST(PointCodec, MutationFuzzNeverYieldsAPartialDecode) {
 }
 
 TEST(PointCodec, UnicodeEscapesRoundTripGridShapedKeys) {
-  // Grid-shaped point keys (the bench_app_crossover style: family, grid
+  // Grid-shaped labels (the bench_app_crossover style: family, grid
   // dims, and sizes packed into one string) with every control byte
   // embedded: the encoder must spell them \u00XX and the decoder must
   // restore the exact bytes. Multi-byte UTF-8 passes through raw.
@@ -200,5 +200,93 @@ TEST(PointCodec, CoreParserDecodesUnicodeEscapesToUtf8) {
   EXPECT_FALSE(core::JsonParser(R"(["\u12zz"])").parse(bad));
 }
 
+struct Flags {
+  std::int64_t ticks = 0;
+  bool ok = false;
+
+  friend bool operator==(const Flags&, const Flags&) = default;
+
+  template <class Ar>
+  void io(Ar& ar) {
+    ar(ticks);
+    ar(ok);
+  }
+};
+
+struct Record {
+  std::int64_t big = 0;
+  double ratio = 0;
+  std::string note;
+  Flags inner;
+
+  friend bool operator==(const Record&, const Record&) = default;
+
+  template <class Ar>
+  void io(Ar& ar) {
+    ar(big);
+    ar(ratio);
+    ar(note);
+    ar(inner);
+  }
+};
+
+template <typename R>
+R reencode(const R& r) {
+  R out{};
+  EXPECT_TRUE(PointCodec::decode(PointCodec::encode(r), &out));
+  return out;
+}
+
+TEST(ResultCodec, RoundTripsExtremeValuesExactly) {
+  Record r;
+  r.big = std::numeric_limits<std::int64_t>::max();  // > 2^53: needs raw
+  r.ratio = 0.1;                                     // not binary-exact
+  r.note = "line\nwith \"quotes\" and \\slash";
+  r.inner = Flags{std::numeric_limits<std::int64_t>::min(), true};
+  EXPECT_EQ(reencode(r), r);
+
+  // Byte-exactness, not just equality: re-encoding the decoded value
+  // reproduces the identical payload string.
+  Record decoded{};
+  ASSERT_TRUE(PointCodec::decode(PointCodec::encode(r), &decoded));
+  EXPECT_EQ(PointCodec::encode(decoded), PointCodec::encode(r));
+}
+
+struct One {
+  double v = 0;
+
+  template <class Ar>
+  void io(Ar& ar) {
+    ar(v);
+  }
+};
+
+TEST(ResultCodec, RoundTripsDoubleBitPatterns) {
+  for (const double d :
+       {1.0 / 3.0, 1e300, 5e-324, -0.0, 123456789.123456789}) {
+    One r{d}, out{};
+    ASSERT_TRUE(PointCodec::decode(PointCodec::encode(r), &out));
+    EXPECT_EQ(std::signbit(out.v), std::signbit(d));
+    EXPECT_EQ(out.v, d);
+  }
+}
+
+TEST(ResultCodec, RejectsArityAndTypeMismatches) {
+  Flags out{};
+  // Too few fields.
+  EXPECT_FALSE(PointCodec::decode(std::string("[1]"), &out));
+  // Too many fields.
+  EXPECT_FALSE(PointCodec::decode(std::string("[1, true, 3]"), &out));
+  // Wrong type where the bool belongs.
+  EXPECT_FALSE(PointCodec::decode(std::string("[1, 2]"), &out));
+  // Fractional number where the integer belongs.
+  EXPECT_FALSE(PointCodec::decode(std::string("[1.5, true]"), &out));
+  // A failed decode leaves the output untouched at the call site's
+  // default — decode only writes through on full success.
+  out = Flags{77, true};
+  EXPECT_FALSE(PointCodec::decode(std::string("[1]"), &out));
+  EXPECT_EQ(out, (Flags{77, true}));
+}
+
 }  // namespace
-}  // namespace bsplogp::cache
+}  // namespace bsplogp::bench

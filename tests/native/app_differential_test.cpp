@@ -161,8 +161,8 @@ TEST(AppDifferential, NativeRunsAreDeterministic) {
 }
 
 TEST(AppDifferential, RegistryEntriesRouteToTheAppFactories) {
-  // The registry is how benches and the farm reach these families; a
-  // misrouted entry would silently benchmark the wrong program.
+  // The registry is how benches reach these families; a misrouted entry
+  // would silently benchmark the wrong program.
   for (const Family& fam : kFamilies) {
     const workload::Entry* entry = workload::find(fam.name);
     ASSERT_NE(entry, nullptr) << fam.name;
