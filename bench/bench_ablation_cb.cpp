@@ -43,7 +43,7 @@ Run run_logp(ProcId p, const logp::Params& prm,
 }
 
 // Section results (file scope: local classes cannot carry the io() member
-// template PointCodec needs).
+// template that --repeat's FieldBits walks).
 
 /// Section (b): the d-ary tree CB next to the greedy schedule pair.
 struct Pair {

@@ -6,18 +6,9 @@
 // (SchedulerKind::ReferenceHeap) — so BENCH_engine.json records events/sec,
 // model finish times, and the bucket/heap speedup per workload.
 //
-// It also anchors two sweep-runner trajectories on a deterministic
-// model-time grid:
-//   * sweep_scaling — the grid run with --jobs 1 and --jobs max(2, hw),
-//     model results asserted identical, both wall clocks recorded
-//     (`sweep_speedup` = serial/parallel);
-//   * micro_sweep — the grid tiled to growing sizes and run at jobs
-//     {1, 2, hw}, recording grid points/sec per leg.
-//
 //   bench_engine_throughput --json BENCH_engine.json
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -114,11 +105,6 @@ int main(int argc, char** argv) {
        "model finish"});
   auto& micro_series = rep.series(
       "micro_engine", {"p", "k", "events/run", "bucket ev/s", "model finish"});
-  auto& sweep_series = rep.series(
-      "sweep_scaling",
-      {"grid points", "jobs", "wall s", "speedup", "model times equal"});
-  auto& micro_sweep_series = rep.series(
-      "micro_sweep", {"grid points", "jobs", "wall s", "points/s", "speedup"});
   if (rep.list()) return rep.finish();
 
   const double min_seconds = rep.smoke() ? 0.01 : 0.4;
@@ -212,131 +198,7 @@ int main(int argc, char** argv) {
     micro_series.print(std::cout);
     std::cout << "\nmicro_engine = bucket-scheduler hotspot throughput as p "
                  "grows; one machine is\nreused across runs, so the series "
-                 "isolates steady-state engine cost.\n\n";
-  }
-
-  // The shared deterministic model-time grid behind both trajectory
-  // sections below. Point results are a pure function of (p, k).
-  struct Point {
-    ProcId p;
-    Time k;
-  };
-  std::vector<Point> grid;
-  {
-    const std::vector<ProcId> ps =
-        rep.smoke() ? std::vector<ProcId>{9, 17}
-                    : std::vector<ProcId>{17, 33, 65, 97, 129};
-    const std::vector<Time> ks = rep.smoke() ? std::vector<Time>{1, 2}
-                                             : std::vector<Time>{2, 4, 8, 16};
-    for (const ProcId p : ps)
-      for (const Time k : ks) grid.push_back(Point{p, k});
-  }
-  const std::function<Time(std::size_t)> compute_point = [&](std::size_t i) {
-    logp::Machine m(grid[i].p, logp::Params{16, 1, 2});
-    return m.run(workload::hotspot(grid[i].p, grid[i].k)).finish_time;
-  };
-  auto run_grid = [&](core::ThreadPool* pool, double* seconds) {
-    using clock = std::chrono::steady_clock;
-    const auto t0 = clock::now();
-    auto finishes =
-        bench::SweepRunner(pool).map<Time>(grid.size(), compute_point);
-    *seconds = std::chrono::duration<double>(clock::now() - t0).count();
-    return finishes;
-  };
-
-  // SweepRunner scaling: --jobs 1 vs --jobs max(2, hw) on the grid, both
-  // rows recorded. Model times must be identical (the sweep contract);
-  // the wall-clock ratio is the `sweep_speedup` trajectory metric. The
-  // parallel leg reuses one persistent pool — spawned before the clock
-  // starts, exactly as a multi-grid bench would hold it — and each leg
-  // gets one untimed warm-up pass so neither side pays first-touch costs.
-  // Smoke runs stick to the harness --jobs value to stay cheap.
-  {
-    const int par_jobs = rep.smoke() ? std::max(2, rep.jobs())
-                                     : std::max(2, core::hardware_jobs());
-    core::ThreadPool pool(par_jobs - 1);
-    double serial_s = 0, parallel_s = 0, warm = 0;
-    (void)run_grid(nullptr, &warm);
-    (void)run_grid(&pool, &warm);
-    const auto serial = run_grid(nullptr, &serial_s);
-    const auto parallel = run_grid(&pool, &parallel_s);
-    const bool equal = serial == parallel;
-    if (!equal) {
-      std::cerr << "sweep model times diverge between --jobs 1 and --jobs "
-                << par_jobs << "!\n";
-      return 1;
-    }
-    const double sweep_speedup = serial_s / parallel_s;
-    sweep_series.row({static_cast<std::int64_t>(grid.size()), 1,
-                      bench::Cell(serial_s, 3), bench::Cell(1.0, 2),
-                      equal ? "yes" : "NO"});
-    sweep_series.row({static_cast<std::int64_t>(grid.size()), par_jobs,
-                      bench::Cell(parallel_s, 3),
-                      bench::Cell(sweep_speedup, 2), equal ? "yes" : "NO"});
-    sweep_series.print(std::cout);
-    rep.metric("sweep_speedup", sweep_speedup);
-    rep.metric("sweep_jobs", static_cast<std::int64_t>(par_jobs));
-    rep.metric("sweep_serial_s", serial_s);
-    rep.metric("sweep_parallel_s", parallel_s);
-    std::cout << "\nsweep_speedup = --jobs 1 wall-clock over --jobs "
-              << par_jobs
-              << " wall-clock for the same grid;\nmodel finish times are "
-                 "asserted identical — parallelism never changes "
-                 "results.\n\n";
-  }
-
-  // Sweep-size micro series: the base grid tiled to {20, 200, 2000} points
-  // and run at jobs {1, 2, hw} (deduped). Small grids expose dispatch
-  // overhead (chunk claims, pool hand-off), large ones the steady-state
-  // point rate; together they locate where parallel sweeps start paying
-  // off on a given host.
-  {
-    const std::vector<std::size_t> sizes =
-        rep.smoke() ? std::vector<std::size_t>{4, 8}
-                    : std::vector<std::size_t>{20, 200, 2000};
-    std::vector<int> job_counts{1, 2};
-    if (!rep.smoke() && core::hardware_jobs() > 2)
-      job_counts.push_back(core::hardware_jobs());
-    const std::function<Time(std::size_t)> tiled_point = [&](std::size_t i) {
-      const std::size_t b = i % grid.size();
-      logp::Machine m(grid[b].p, logp::Params{16, 1, 2});
-      return m.run(workload::hotspot(grid[b].p, grid[b].k)).finish_time;
-    };
-    for (const std::size_t n : sizes) {
-      double base_s = 0;
-      for (const int jobs : job_counts) {
-        // Each leg gets its own pool of jobs - 1 workers: for_ranges puts
-        // every worker of a pool to work, so a shared wider pool would run
-        // every leg at full width.
-        using clock = std::chrono::steady_clock;
-        core::ThreadPool pool(jobs - 1);
-        core::ThreadPool* p = jobs > 1 ? &pool : nullptr;
-        auto leg = [&](double* seconds) {
-          const auto t0 = clock::now();
-          const bench::SweepRunner r(p);
-          auto out = r.map<Time>(n, tiled_point);
-          *seconds =
-              std::chrono::duration<double>(clock::now() - t0).count();
-          return out;
-        };
-        double warm_s = 0, wall_s = 0;
-        (void)leg(&warm_s);  // untimed warm-up
-        (void)leg(&wall_s);
-        if (jobs == 1) base_s = wall_s;
-        const double pps = static_cast<double>(n) / wall_s;
-        const double speedup = base_s / wall_s;
-        micro_sweep_series.row({static_cast<std::int64_t>(n), jobs,
-                                bench::Cell(wall_s, 4), bench::Cell(pps, 0),
-                                bench::Cell(speedup, 2)});
-        rep.metric("micro_sweep_pps_n" + std::to_string(n) + "_j" +
-                       std::to_string(jobs),
-                   pps);
-      }
-    }
-    micro_sweep_series.print(std::cout);
-    std::cout << "\nmicro_sweep = grid points/sec as the grid grows and jobs "
-                 "scale; speedup is\nrelative to the jobs-1 leg of the same "
-                 "grid size (persistent pool, warmed legs).\n";
+                 "isolates steady-state engine cost.\n";
   }
 
   return rep.finish();

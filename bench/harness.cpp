@@ -47,29 +47,6 @@ std::string real_to_json(double v) {
 
 }  // namespace
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 // ---- Cell -------------------------------------------------------------------
 
 std::string Cell::display() const {
@@ -89,7 +66,7 @@ std::string Cell::json() const {
       return buf;
     }
     case Kind::Real: return real_to_json(real_);
-    case Kind::Str: return "\"" + json_escape(str_) + "\"";
+    case Kind::Str: return "\"" + trace::json_escape(str_) + "\"";
   }
   return {};
 }
@@ -116,10 +93,10 @@ void Series::print(std::ostream& os) const {
 }
 
 void Series::write_json(std::ostream& os) const {
-  os << "{\"id\": \"" << json_escape(id_) << "\", \"columns\": [";
+  os << "{\"id\": \"" << trace::json_escape(id_) << "\", \"columns\": [";
   for (std::size_t i = 0; i < columns_.size(); ++i) {
     if (i) os << ", ";
-    os << "\"" << json_escape(columns_[i]) << "\"";
+    os << "\"" << trace::json_escape(columns_[i]) << "\"";
   }
   os << "], \"rows\": [";
   for (std::size_t r = 0; r < rows_.size(); ++r) {
@@ -235,12 +212,12 @@ void Reporter::diag(const std::string& line) {
 }
 
 void Reporter::write_json(std::ostream& os) const {
-  os << "{\"bench\": \"" << json_escape(name_) << "\", \"smoke\": "
+  os << "{\"bench\": \"" << trace::json_escape(name_) << "\", \"smoke\": "
      << (smoke_ ? "true" : "false") << ", \"jobs\": " << jobs_
      << ", \"repeat\": " << repeat_ << ", \"metrics\": {";
   for (std::size_t i = 0; i < metrics_.size(); ++i) {
     if (i) os << ", ";
-    os << "\"" << json_escape(metrics_[i].first)
+    os << "\"" << trace::json_escape(metrics_[i].first)
        << "\": " << metrics_[i].second;
   }
   os << "}, \"series\": [";

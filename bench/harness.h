@@ -38,9 +38,9 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
-#include "bench/point_codec.h"
 #include "src/core/parallel.h"
 #include "src/trace/chrome_sink.h"
 #include "src/workload/workload.h"
@@ -109,11 +109,11 @@ class Reporter {
 
   /// Repetitions per measurement (--repeat N, default 1). Two consumers:
   /// SweepRunner re-computes every grid point N times and aborts unless
-  /// the PointCodec encodings are byte-identical (model results must be a
-  /// pure function of the grid point — repeats prove it, and therefore
-  /// never change output); wall-clock benches run each timing loop N
-  /// times and report the median, so BENCH_*.json trajectory numbers stop
-  /// jittering on loaded runners.
+  /// every result field has identical bits (FieldBits; model results must
+  /// be a pure function of the grid point — repeats prove it, and
+  /// therefore never change output); wall-clock benches run each timing
+  /// loop N times and report the median, so BENCH_*.json trajectory
+  /// numbers stop jittering on loaded runners.
   [[nodiscard]] int repeat() const { return repeat_; }
 
   /// --list mode: the bench declares its workloads and series, runs
@@ -195,6 +195,36 @@ class Reporter {
   std::vector<std::pair<std::string, std::string>> metrics_;  // key -> json
 };
 
+/// The --repeat proof: the object representation of every arithmetic
+/// field a point result lists in its io() member template
+///
+///   template <class Ar> void io(Ar& ar) { ar(a); ar(b); ... }
+///
+/// (nested structs with io() compose; an arithmetic result is its own one
+/// field). Equal FieldBits therefore mean integers and bools equal by value
+/// and reals equal by bit pattern: a 0.0 -> -0.0 flip, which operator==
+/// calls equal, is a divergence, and a stable NaN, which operator== calls
+/// unequal to itself, is not.
+class FieldBits {
+ public:
+  template <typename R>
+  explicit FieldBits(const R& r) { (*this)(r); }
+
+  template <typename T>
+  void operator()(const T& v) {
+    if constexpr (std::is_arithmetic_v<T>) {
+      bits_.append(reinterpret_cast<const char*>(&v), sizeof v);
+    } else {
+      const_cast<T&>(v).io(*this);  // io() only reads under FieldBits
+    }
+  }
+
+  [[nodiscard]] bool operator==(const FieldBits&) const = default;
+
+ private:
+  std::string bits_;
+};
+
 /// Deterministic parallel sweep driver. map() evaluates one function per
 /// grid point and returns the results indexed by grid point; the caller
 /// then walks the vector in grid order on its own thread to emit
@@ -212,24 +242,24 @@ class SweepRunner {
       : pool_(pool), repeat_(repeat) {}
 
   /// Returns fn(i) for every i in [0, n), by index. R must be
-  /// default-constructible and PointCodec-encodable (arithmetic, or a
-  /// struct listing its fields in io()), which is what --repeat compares.
+  /// default-constructible and arithmetic or a struct listing its fields
+  /// in io(): FieldBits is what --repeat compares.
   template <typename R, typename F>
   [[nodiscard]] std::vector<R> map(std::size_t n, const F& fn) const {
     std::vector<R> out(n);
-    // Under --repeat N every point is re-evaluated N times with the
-    // PointCodec encodings demanded byte-identical: a sweep point must be
-    // a pure function of its grid index, so repeats can only confirm the
-    // result, never change it — which is what keeps output byte-identical
-    // at every --repeat value. A divergence is a determinism bug
+    // Under --repeat N every point is re-evaluated N times with its
+    // FieldBits demanded identical: a sweep point must be a pure function
+    // of its grid index, so repeats can only confirm the result, never
+    // change it — which is what keeps output byte-identical at every
+    // --repeat value. A divergence is a determinism bug
     // (wall-clock leaking into a model result, a stray global rng) and
     // dies loudly instead of poisoning the trajectory.
     const auto compute_checked = [&](std::size_t i) {
       R first = fn(i);
       if (repeat_ == 1) return first;
-      const std::string bytes = PointCodec::encode(first);
+      const FieldBits bits(first);
       for (int r = 1; r < repeat_; ++r) {
-        if (PointCodec::encode(fn(i)) != bytes) {
+        if (FieldBits(fn(i)) != bits) {
           Reporter::diag("sweep: grid point " + std::to_string(i) +
                          " is nondeterministic across --repeat runs");
           std::abort();

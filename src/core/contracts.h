@@ -5,8 +5,8 @@
 // The checks stay on in release builds: the library is a simulator whose
 // value is fidelity to the model rules, and silent rule violations would
 // invalidate every measurement downstream. The predicates on hot paths are
-// integer comparisons; profiling (bench_engines_micro) shows them in the
-// noise.
+// integer comparisons, and every engine throughput number
+// (bench_engine_throughput, perfbench) is measured with them on.
 #pragma once
 
 #include <cstdio>

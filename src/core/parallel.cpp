@@ -40,7 +40,7 @@ std::size_t sweep_chunk(std::size_t n, int threads, std::size_t requested) {
   if (c == 0) {
     // ~4 claims per thread: enough slack for uneven point costs to
     // balance, few enough claims that dispatch stops mattering on tiny
-    // grids (the sweep_speedup 0.83 regression was per-point claims).
+    // grids (a 0.83x --jobs 2 sweep speedup was per-point claims).
     const auto t = static_cast<std::size_t>(std::max(threads, 1));
     c = (n + 4 * t - 1) / (4 * t);
   }
@@ -127,26 +127,8 @@ void ThreadPool::for_ranges(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn,
     std::size_t chunk) {
   if (n == 0) return;
-  // The batch lives on the heap: stragglers from a previous generation may
-  // still hold their (drained) batch while this one runs.
-  const auto batch =
-      std::make_shared<Batch>(n, sweep_chunk(n, workers() + 1, chunk), fn);
-  if (!threads_.empty()) {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      batch_ = batch;
-      ++generation_;
-    }
-    work_cv_.notify_all();
-  }
-  batch->run();  // the calling thread is always one of the workers
-  {
-    std::unique_lock<std::mutex> lock(batch->mu);
-    batch->done_cv.wait(lock, [&] {
-      return batch->done.load(std::memory_order_acquire) == batch->n;
-    });
-    if (batch->error != nullptr) std::rethrow_exception(batch->error);
-  }
+  launch_and_wait(
+      std::make_shared<Batch>(n, sweep_chunk(n, workers() + 1, chunk), fn));
 }
 
 void ThreadPool::for_spmd(std::size_t n,
@@ -159,8 +141,13 @@ void ThreadPool::for_spmd(std::size_t n,
         BSPLOGP_ASSERT(e == b + 1);
         fn(b);
       };
-  const auto batch = std::make_shared<Batch>(n, std::size_t{1}, range_fn,
-                                             /*one_claim_per_thread=*/true);
+  launch_and_wait(std::make_shared<Batch>(n, std::size_t{1}, range_fn,
+                                          /*one_claim_per_thread=*/true));
+}
+
+void ThreadPool::launch_and_wait(const std::shared_ptr<Batch>& batch) {
+  // The batch lives on the heap: stragglers from a previous generation may
+  // still hold their (drained) batch while this one runs.
   if (!threads_.empty()) {
     {
       const std::lock_guard<std::mutex> lock(mu_);
@@ -169,61 +156,12 @@ void ThreadPool::for_spmd(std::size_t n,
     }
     work_cv_.notify_all();
   }
-  batch->run();  // the calling thread runs one of the items
-  {
-    std::unique_lock<std::mutex> lock(batch->mu);
-    batch->done_cv.wait(lock, [&] {
-      return batch->done.load(std::memory_order_acquire) == batch->n;
-    });
-    if (batch->error != nullptr) std::rethrow_exception(batch->error);
-  }
-}
-
-void ThreadPool::for_indexed(std::size_t n,
-                             const std::function<void(std::size_t)>& fn,
-                             std::size_t chunk) {
-  for_ranges(
-      n,
-      [&fn](std::size_t b, std::size_t e) {
-        // Per-item isolation: a throwing item must not abandon the rest
-        // of its chunk (the documented for_indexed contract). The first
-        // failure resurfaces at the end of the chunk and becomes the
-        // batch's recorded error.
-        std::exception_ptr first;
-        for (std::size_t i = b; i < e; ++i) {
-          try {
-            fn(i);
-          } catch (...) {
-            if (first == nullptr) first = std::current_exception();
-          }
-        }
-        if (first != nullptr) std::rethrow_exception(first);
-      },
-      chunk);
-}
-
-void parallel_for_indexed(std::size_t n, int jobs,
-                          const std::function<void(std::size_t)>& fn,
-                          std::size_t chunk) {
-  if (jobs <= 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  ThreadPool pool(jobs - 1);
-  pool.for_indexed(n, fn, chunk);
-}
-
-void parallel_for_ranges(
-    std::size_t n, int jobs,
-    const std::function<void(std::size_t, std::size_t)>& fn,
-    std::size_t chunk) {
-  if (n == 0) return;
-  if (jobs <= 1 || n <= 1) {
-    fn(0, n);
-    return;
-  }
-  ThreadPool pool(jobs - 1);
-  pool.for_ranges(n, fn, chunk);
+  batch->run();  // the calling thread is always one of the workers
+  std::unique_lock<std::mutex> lock(batch->mu);
+  batch->done_cv.wait(lock, [&] {
+    return batch->done.load(std::memory_order_acquire) == batch->n;
+  });
+  if (batch->error != nullptr) std::rethrow_exception(batch->error);
 }
 
 }  // namespace bsplogp::core

@@ -8,9 +8,10 @@
 // while callers that want deterministic output commit results *by index*
 // into pre-sized slots, never in completion order. The bench harness's
 // SweepRunner (bench/harness.h) and the parameterized equivalence tests
-// are the two consumers; both pair each index with its own
+// are the two sweep consumers; both pair each index with its own
 // core::rng_for_index stream so results are independent of thread count,
-// chunk size, and execution order.
+// chunk size, and execution order. The native backend (src/native) runs
+// its SPMD programs through for_spmd.
 #pragma once
 
 #include <condition_variable>
@@ -35,7 +36,7 @@ namespace bsplogp::core {
                                       std::size_t requested);
 
 /// A fixed-size worker pool for blocking, batch-at-a-time parallel loops.
-/// One orchestrating thread submits batches via for_indexed()/for_ranges();
+/// One orchestrating thread submits batches via for_ranges()/for_spmd();
 /// the pool is not a general task queue. Thread-compatible, not
 /// thread-safe: concurrent batch calls from different threads are not
 /// supported.
@@ -51,22 +52,15 @@ class ThreadPool {
 
   [[nodiscard]] int workers() const { return static_cast<int>(threads_.size()); }
 
-  /// Runs fn(i) exactly once for every i in [0, n), on the pool's workers
-  /// plus the calling thread, and blocks until all items completed. Items
-  /// are claimed in chunks (see sweep_chunk; `chunk` forces a size) but fn
-  /// must not depend on execution order. If any item throws, the first
-  /// exception (in completion order) is rethrown on the caller after the
-  /// batch drains; the remaining items — including the rest of the
-  /// throwing item's chunk — still run, and the pool stays reusable.
-  void for_indexed(std::size_t n, const std::function<void(std::size_t)>& fn,
-                   std::size_t chunk = 0);
-
-  /// Range-at-a-time variant: fn(begin, end) covers [begin, end) and is
-  /// invoked once per claimed chunk, so per-item dispatch can be a direct
-  /// (inlinable) call inside the callback. A throwing callback abandons
-  /// the *rest of its own range* (unlike for_indexed, which isolates
-  /// items); other ranges still run and the first exception is rethrown
-  /// after the batch drains.
+  /// Covers [0, n) exactly once, on the pool's workers plus the calling
+  /// thread, and blocks until every range completed. Indices are claimed
+  /// in chunks (see sweep_chunk; `chunk` forces a size) and fn(begin, end)
+  /// is invoked once per claimed chunk, so per-item dispatch can be a
+  /// direct (inlinable) call inside the callback; fn must not depend on
+  /// execution order. A throwing callback abandons the *rest of its own
+  /// range*; other ranges still run, the first exception (in completion
+  /// order) is rethrown on the caller after the batch drains, and the pool
+  /// stays reusable.
   void for_ranges(std::size_t n,
                   const std::function<void(std::size_t, std::size_t)>& fn,
                   std::size_t chunk = 0);
@@ -74,7 +68,7 @@ class ThreadPool {
   /// SPMD batch: runs fn(i) for every i in [0, n) with every item on a
   /// *distinct* thread, all items live concurrently. This is the primitive
   /// the native shared-memory backend (src/native) builds on: unlike
-  /// for_indexed, items may synchronize with each other (barriers,
+  /// for_ranges, items may synchronize with each other (barriers,
   /// condition variables), because no thread ever claims a second item
   /// while holding the first. Requires n <= workers() + 1 — there must be
   /// a thread for every item or the batch would deadlock on its own
@@ -87,6 +81,9 @@ class ThreadPool {
   struct Batch;
 
   void worker_loop();
+  /// Hands `batch` to the workers, runs it on the calling thread too, and
+  /// blocks until it drains; rethrows the batch's first exception.
+  void launch_and_wait(const std::shared_ptr<Batch>& batch);
 
   std::mutex mu_;
   std::condition_variable work_cv_;
@@ -95,18 +92,5 @@ class ThreadPool {
   std::shared_ptr<Batch> batch_;
   std::vector<std::thread> threads_;
 };
-
-/// One-shot helper: for_indexed on a transient pool of `jobs` total
-/// threads (jobs - 1 workers plus the caller). jobs <= 1 runs inline (an
-/// exception then propagates immediately, aborting the remaining items).
-void parallel_for_indexed(std::size_t n, int jobs,
-                          const std::function<void(std::size_t)>& fn,
-                          std::size_t chunk = 0);
-
-/// One-shot helper for for_ranges. jobs <= 1 runs fn(0, n) inline.
-void parallel_for_ranges(
-    std::size_t n, int jobs,
-    const std::function<void(std::size_t, std::size_t)>& fn,
-    std::size_t chunk = 0);
 
 }  // namespace bsplogp::core

@@ -70,7 +70,8 @@ class ChromeTraceSink final : public TraceSink {
   ProcId nprocs_ = 0;
 };
 
-/// JSON string escaping shared by the sink and its tests.
+/// JSON string escaping: the repo's one escaper, shared by the sink and
+/// the bench Reporter.
 [[nodiscard]] std::string json_escape(const std::string& s);
 
 }  // namespace bsplogp::trace

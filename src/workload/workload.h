@@ -213,10 +213,10 @@ struct Entry {
   /// Accepted Spec parameter domains. Empty means "unconstrained": the
   /// family reads whatever knobs its description names and tolerates any
   /// value the Spec defaults make sensible.
-  std::vector<ParamDomain> domains;
+  std::vector<ParamDomain> domains = {};
   /// Optional cross-field check (e.g. grid_rows must divide p). Returns
   /// false and fills *error with a "bad <field> ..." message on violation.
-  std::function<bool(const Spec&, std::string*)> constraint;
+  std::function<bool(const Spec&, std::string*)> constraint = {};
 };
 
 /// Reads the Spec field `name` ("p", "k", "rounds", "max_jump", "staged",

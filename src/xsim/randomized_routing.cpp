@@ -49,7 +49,6 @@ RandomizedRoutingReport route_randomized(const routing::HRelation& rel,
     const std::uint64_t proc_seed = seeder();
     progs.emplace_back([&sends, &in_count, leftover_total, proc_seed, rounds,
                         round_len, cap, i](logp::Proc& pr) -> logp::Task<> {
-      const logp::Params& prm = pr.params();
       // Step 1: independent uniform batch per message.
       core::Rng rng(proc_seed);
       std::vector<std::vector<Message>> batch(

@@ -97,8 +97,9 @@ TEST(CbArity, ForcedAritiesAgreeOnTheResult) {
     const RunStats st = m.run(progs);
     EXPECT_TRUE(st.completed()) << "arity " << arity;
     for (const Word w : out) EXPECT_EQ(w, p * (p - 1) / 2);
-    if (arity <= prm.capacity())
+    if (arity <= prm.capacity()) {
       EXPECT_TRUE(st.stall_free()) << "arity " << arity;
+    }
   }
 }
 

@@ -104,8 +104,8 @@ constexpr CbCase kCbCases[] = {
 
 INSTANTIATE_TEST_SUITE_P(
     ParamGrid, CbSweep, ::testing::ValuesIn(kCbCases),
-    [](const auto& info) {
-      const auto& c = info.param;
+    [](const auto& param_info) {
+      const auto& c = param_info.param;
       return "p" + std::to_string(c.p) + "L" + std::to_string(c.prm.L) + "o" +
              std::to_string(c.prm.o) + "G" + std::to_string(c.prm.G);
     });

@@ -1,14 +1,16 @@
 // The bench reporting harness (bench/harness.h): Cell rendering, Series /
-// Reporter JSON that parses back losslessly, json_escape on control
-// characters, the strict CLI protocol (unknown flags die with usage, exit
-// 2), --list enumeration, and the SweepRunner determinism contract — the
-// whole JSON document is byte-identical whether a sweep ran on 1 thread or
-// 4.
+// Reporter JSON that parses back losslessly, trace::json_escape (the one
+// escaper, shared with the trace sink) on control characters, the strict
+// CLI protocol (unknown flags die with usage, exit 2), --list enumeration,
+// and the SweepRunner determinism contract — the whole JSON document is
+// byte-identical whether a sweep ran on 1 thread or 4.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -62,11 +64,12 @@ TEST(Cell, DisplayFollowsCoreFmtAndJsonIsLossless) {
 }
 
 TEST(JsonEscape, EscapesQuotesBackslashesAndControlCharacters) {
-  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(json_escape("\n\t\r"), "\\n\\t\\r");
-  EXPECT_EQ(json_escape(std::string("\x01\x1f")), "\\u0001\\u001f");
+  EXPECT_EQ(trace::json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(trace::json_escape("\n\t\r"), "\\n\\t\\r");
+  EXPECT_EQ(trace::json_escape(std::string("\x01\x1f")), "\\u0001\\u001f");
   // Escaped control characters must survive a parse round-trip.
-  const std::string doc = "{\"k\": \"" + json_escape("\x02 mid \x03") + "\"}";
+  const std::string doc =
+      "{\"k\": \"" + trace::json_escape("\x02 mid \x03") + "\"}";
   JsonValue root;
   EXPECT_TRUE(JsonParser(doc).parse(root));
 }
@@ -268,9 +271,8 @@ TEST(SweepRunner, MapCommitsResultsByIndex) {
 }
 
 /// Point result for sweep_document (namespace scope: every map() result
-/// type must carry the io() member template PointCodec needs for the
-/// --repeat comparison, and local classes cannot declare member
-/// templates).
+/// type must carry the io() member template that --repeat's FieldBits
+/// walks, and local classes cannot declare member templates).
 struct SweepDocResult {
   Time finish = 0;
   std::int64_t messages = 0;
@@ -351,6 +353,13 @@ TEST(SweepRunner, RepeatReVerifiesEveryPointWithoutChangingTheDocument) {
       });
   EXPECT_EQ(computed.load(), 30);  // every point computed repeat times
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * 7);
+
+  // Repeats compare bits, not operator==: a point that returns the same
+  // quiet NaN every time is deterministic, though NaN != NaN.
+  const auto nan = SweepRunner(nullptr, 2).map<double>(1, [](std::size_t) {
+    return std::numeric_limits<double>::quiet_NaN();
+  });
+  EXPECT_TRUE(std::isnan(nan[0]));
 }
 
 /// A struct result for the --repeat death test: the comparison covers
@@ -390,7 +399,7 @@ TEST(SweepRunnerDeathTest, NondeterministicPointDiesUnderRepeat) {
         });
       },
       "nondeterministic across --repeat");
-  // The comparison is on encodings, so a signed-zero flip — equal under
+  // The comparison is on field bits, so a signed-zero flip — equal under
   // operator== — is a divergence too.
   EXPECT_DEATH(
       {

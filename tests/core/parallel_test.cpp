@@ -1,8 +1,8 @@
-// ThreadPool / parallel_for_indexed: every index runs exactly once, results
-// land in their own slots regardless of job count, exceptions propagate
-// after the batch drains, and rng_for_index gives each grid point an
-// independent deterministic stream — the contract the deterministic sweep
-// runner (bench/harness.h SweepRunner, DESIGN.md §9) is built on.
+// ThreadPool::for_ranges: every index runs exactly once, results land in
+// their own slots regardless of job count, exceptions propagate after the
+// batch drains, and rng_for_index gives each grid point an independent
+// deterministic stream — the contract the deterministic sweep runner
+// (bench/harness.h SweepRunner, DESIGN.md §9) is built on.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +18,14 @@
 namespace bsplogp::core {
 namespace {
 
+/// Adapts a per-index body to for_ranges' (begin, end) callback.
+template <typename F>
+auto each(F fn) {
+  return [fn](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) fn(i);
+  };
+}
+
 TEST(Parallel, HardwareJobsIsAtLeastOne) {
   EXPECT_GE(hardware_jobs(), 1);
 }
@@ -25,21 +33,24 @@ TEST(Parallel, HardwareJobsIsAtLeastOne) {
 TEST(Parallel, EveryIndexRunsExactlyOnce) {
   const std::size_t n = 1000;
   std::vector<std::atomic<int>> hits(n);
-  parallel_for_indexed(n, 4, [&](std::size_t i) { hits[i] += 1; });
+  ThreadPool pool(3);
+  pool.for_ranges(n, each([&](std::size_t i) { hits[i] += 1; }));
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
 TEST(Parallel, JobsOneRunsInlineOnTheCallingThread) {
   const auto caller = std::this_thread::get_id();
   bool all_inline = true;
-  parallel_for_indexed(64, 1, [&](std::size_t) {
+  ThreadPool pool(0);
+  pool.for_ranges(64, each([&](std::size_t) {
     if (std::this_thread::get_id() != caller) all_inline = false;
-  });
+  }));
   EXPECT_TRUE(all_inline);
 }
 
 TEST(Parallel, ZeroItemBatchIsANoOp) {
-  parallel_for_indexed(0, 4, [&](std::size_t) { FAIL() << "ran an item"; });
+  ThreadPool pool(3);
+  pool.for_ranges(0, [&](std::size_t, std::size_t) { FAIL() << "ran"; });
 }
 
 TEST(Parallel, ResultsByIndexMatchSerialForEveryJobCount) {
@@ -49,12 +60,13 @@ TEST(Parallel, ResultsByIndexMatchSerialForEveryJobCount) {
   const std::size_t n = 64;
   auto run = [n](int jobs) {
     std::vector<std::uint64_t> out(n);
-    parallel_for_indexed(n, jobs, [&](std::size_t i) {
+    ThreadPool pool(jobs - 1);
+    pool.for_ranges(n, each([&](std::size_t i) {
       Rng rng = rng_for_index(12345, i);
       std::uint64_t acc = 0;
       for (int k = 0; k < 100; ++k) acc ^= rng();
       out[i] = acc;
-    });
+    }));
     return out;
   };
   const auto serial = run(1);
@@ -66,14 +78,16 @@ TEST(Parallel, ResultsByIndexMatchSerialForEveryJobCount) {
 TEST(Parallel, FirstExceptionPropagatesAfterTheBatchDrains) {
   const std::size_t n = 200;
   std::atomic<int> ran{0};
-  EXPECT_THROW(
-      parallel_for_indexed(n, 4,
-                           [&](std::size_t i) {
-                             ran += 1;
-                             if (i == 37) throw std::runtime_error("boom");
-                           }),
-      std::runtime_error);
-  // The remaining items still ran; nothing was abandoned mid-batch.
+  ThreadPool pool(3);
+  EXPECT_THROW(pool.for_ranges(n,
+                               each([&](std::size_t i) {
+                                 ran += 1;
+                                 if (i == 37) throw std::runtime_error("boom");
+                               }),
+                               /*chunk=*/1),
+               std::runtime_error);
+  // One-item ranges: the remaining items still ran; nothing was abandoned
+  // mid-batch.
   EXPECT_EQ(ran.load(), static_cast<int>(n));
 }
 
@@ -82,9 +96,9 @@ TEST(Parallel, PoolIsReusableAcrossBatches) {
   EXPECT_EQ(pool.workers(), 3);
   for (int batch = 0; batch < 5; ++batch) {
     std::atomic<std::int64_t> sum{0};
-    pool.for_indexed(100, [&](std::size_t i) {
+    pool.for_ranges(100, each([&](std::size_t i) {
       sum += static_cast<std::int64_t>(i);
-    });
+    }));
     EXPECT_EQ(sum.load(), 99 * 100 / 2);
   }
 }
@@ -113,13 +127,13 @@ TEST(Parallel, ResultsMatchForPathologicalChunkSizes) {
   const std::size_t n = 64;
   auto run = [n](int jobs, std::size_t chunk) {
     std::vector<std::uint64_t> out(n);
-    parallel_for_indexed(
-        n, jobs,
-        [&](std::size_t i) {
-          Rng rng = rng_for_index(4242, i);
-          out[i] = rng() ^ (rng() << 1);
-        },
-        chunk);
+    ThreadPool pool(jobs - 1);
+    pool.for_ranges(n,
+                    each([&](std::size_t i) {
+                      Rng rng = rng_for_index(4242, i);
+                      out[i] = rng() ^ (rng() << 1);
+                    }),
+                    chunk);
     return out;
   };
   const auto serial = run(1, 0);
@@ -129,41 +143,26 @@ TEST(Parallel, ResultsMatchForPathologicalChunkSizes) {
   }
 }
 
-TEST(Parallel, ThrowInsideAChunkStillRunsTheChunksOtherItems) {
-  // for_indexed isolates items even when a claim spans many of them: a
-  // throw at i=10 inside a 50-item chunk must not abandon items 11..49.
-  const std::size_t n = 100;
-  std::atomic<int> ran{0};
-  EXPECT_THROW(parallel_for_indexed(
-                   n, 4,
-                   [&](std::size_t i) {
-                     ran += 1;
-                     if (i == 10) throw std::runtime_error("mid-chunk");
-                   },
-                   /*chunk=*/50),
-               std::runtime_error);
-  EXPECT_EQ(ran.load(), static_cast<int>(n));
-}
-
 TEST(Parallel, PoolStaysReusableAfterAThrowingBatch) {
-  // The S3 regression: a batch that throws must drain (every item still
-  // runs) and leave the pool fully usable for the next batch — no wedged
-  // workers, no stale batch state, no re-thrown stale exception.
+  // The S3 regression: a batch that throws must drain (every one-item
+  // range still runs) and leave the pool fully usable for the next batch —
+  // no wedged workers, no stale batch state, no re-thrown stale exception.
   ThreadPool pool(3);
   for (int round = 0; round < 3; ++round) {
     std::atomic<int> ran{0};
-    EXPECT_THROW(pool.for_indexed(200,
-                                  [&](std::size_t i) {
-                                    ran += 1;
-                                    if (i == 17)
-                                      throw std::runtime_error("boom");
-                                  }),
+    EXPECT_THROW(pool.for_ranges(200,
+                                 each([&](std::size_t i) {
+                                   ran += 1;
+                                   if (i == 17)
+                                     throw std::runtime_error("boom");
+                                 }),
+                                 /*chunk=*/1),
                  std::runtime_error);
     EXPECT_EQ(ran.load(), 200);
     std::atomic<std::int64_t> sum{0};
-    pool.for_indexed(100, [&](std::size_t i) {
+    pool.for_ranges(100, each([&](std::size_t i) {
       sum += static_cast<std::int64_t>(i);
-    });
+    }));
     EXPECT_EQ(sum.load(), 99 * 100 / 2);  // clean batch after the throw
   }
 }
@@ -171,7 +170,8 @@ TEST(Parallel, PoolStaysReusableAfterAThrowingBatch) {
 TEST(Parallel, ForRangesCoversEveryIndexExactlyOnce) {
   const std::size_t n = 257;  // prime: misaligns every chunk size
   std::vector<std::atomic<int>> hits(n);
-  parallel_for_ranges(n, 4, [&](std::size_t b, std::size_t e) {
+  ThreadPool pool(3);
+  pool.for_ranges(n, [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) hits[i] += 1;
   });
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
@@ -214,7 +214,7 @@ TEST(Parallel, ZeroWorkerPoolRunsOnTheCaller) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.workers(), 0);
   std::vector<int> hits(10, 0);
-  pool.for_indexed(hits.size(), [&](std::size_t i) { hits[i] += 1; });
+  pool.for_ranges(hits.size(), each([&](std::size_t i) { hits[i] += 1; }));
   for (const int h : hits) EXPECT_EQ(h, 1);
 }
 

@@ -80,8 +80,8 @@ INSTANTIATE_TEST_SUITE_P(
         PolicyCase{AcceptOrder::Random, DeliverySchedule::Latest, 3},
         PolicyCase{AcceptOrder::Random, DeliverySchedule::Earliest, 4},
         PolicyCase{AcceptOrder::Random, DeliverySchedule::UniformRandom, 5}),
-    [](const ::testing::TestParamInfo<PolicyCase>& info) {
-      const auto& pc = info.param;
+    [](const ::testing::TestParamInfo<PolicyCase>& param_info) {
+      const auto& pc = param_info.param;
       std::string name;
       switch (pc.accept) {
         case AcceptOrder::Fifo: name += "Fifo"; break;

@@ -8,9 +8,9 @@
 // from the trace sink's Delivery events.
 //
 // The workloads come from the registry (workload::hotspot,
-// workload::random_traffic). The accept x delivery x seed grids run through
-// core::parallel_for_indexed: each point runs both schedulers on its own
-// machines and commits the RunStats pair by index; the bit-identity
+// workload::random_traffic). The accept x delivery x seed grids run on a
+// core::ThreadPool: each point runs both schedulers on its own machines
+// and commits the RunStats pair by index; the bit-identity
 // assertions happen serially afterwards (gtest assertions are not
 // thread-safe).
 #include <gtest/gtest.h>
@@ -96,14 +96,16 @@ TEST(SchedulerEquivalence, HotspotStatsBitIdenticalAcrossSchedulers) {
   const auto grid = policy_grid({0, 1, 42});
 
   std::vector<SchedulerPair> results(grid.size());
-  core::parallel_for_indexed(
-      grid.size(), core::hardware_jobs(), [&](std::size_t i) {
-        const PolicyPoint& pt = grid[i];
-        results[i].bucket = run_with(SchedulerKind::Bucket, pt.accept,
-                                     pt.delivery, pt.seed, prm, p, progs);
-        results[i].heap = run_with(SchedulerKind::ReferenceHeap, pt.accept,
+  core::ThreadPool pool(core::hardware_jobs() - 1);
+  pool.for_ranges(grid.size(), [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      const PolicyPoint& pt = grid[i];
+      results[i].bucket = run_with(SchedulerKind::Bucket, pt.accept,
                                    pt.delivery, pt.seed, prm, p, progs);
-      });
+      results[i].heap = run_with(SchedulerKind::ReferenceHeap, pt.accept,
+                                 pt.delivery, pt.seed, prm, p, progs);
+    }
+  });
 
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const PolicyPoint& pt = grid[i];
@@ -123,15 +125,17 @@ TEST(SchedulerEquivalence, RandomTrafficStatsBitIdenticalAcrossSchedulers) {
   const auto grid = policy_grid({7, 99});
 
   std::vector<SchedulerPair> results(grid.size());
-  core::parallel_for_indexed(
-      grid.size(), core::hardware_jobs(), [&](std::size_t i) {
-        const PolicyPoint& pt = grid[i];
-        const auto progs = workload::random_traffic(p, 12, 20, pt.seed);
-        results[i].bucket = run_with(SchedulerKind::Bucket, pt.accept,
-                                     pt.delivery, pt.seed, prm, p, progs);
-        results[i].heap = run_with(SchedulerKind::ReferenceHeap, pt.accept,
+  core::ThreadPool pool(core::hardware_jobs() - 1);
+  pool.for_ranges(grid.size(), [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      const PolicyPoint& pt = grid[i];
+      const auto progs = workload::random_traffic(p, 12, 20, pt.seed);
+      results[i].bucket = run_with(SchedulerKind::Bucket, pt.accept,
                                    pt.delivery, pt.seed, prm, p, progs);
-      });
+      results[i].heap = run_with(SchedulerKind::ReferenceHeap, pt.accept,
+                                 pt.delivery, pt.seed, prm, p, progs);
+    }
+  });
 
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const PolicyPoint& pt = grid[i];

@@ -167,7 +167,9 @@ TEST(NativeSpmd, SharedPoolIsReusableAcrossSpawnsAndBatches) {
   }
   // The pool still serves ordinary data-parallel batches afterwards.
   std::vector<int> marks(64, 0);
-  pool.for_indexed(64, [&](std::size_t i) { marks[i] = 1; });
+  pool.for_ranges(64, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) marks[i] = 1;
+  });
   for (const int m : marks) EXPECT_EQ(m, 1);
 }
 

@@ -111,8 +111,8 @@ INSTANTIATE_TEST_SUITE_P(
                       TopologyKind::CubeConnectedCycles,
                       TopologyKind::ShuffleExchange,
                       TopologyKind::MeshOfTrees),
-    [](const auto& info) {
-      std::string name = to_string(info.param);
+    [](const auto& param_info) {
+      std::string name = to_string(param_info.param);
       std::erase(name, '-');
       return name;
     });

@@ -6,10 +6,10 @@
 //
 // The fuzz program family lives in the workload registry
 // (workload::fuzz_supersteps); its behavior depends only on (seed, pid,
-// superstep). The (p, seed) grid runs through core::parallel_for_indexed —
-// each point owns its machines and logs, results land in index-addressed
-// slots, and all gtest assertions happen serially afterwards (gtest
-// assertions are not thread-safe).
+// superstep). The (p, seed) grid runs on a core::ThreadPool — each point
+// owns its machines and logs, results land in index-addressed slots, and
+// all gtest assertions happen serially afterwards (gtest assertions are
+// not thread-safe).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -44,23 +44,24 @@ TEST(FuzzEquivalence, NativeAndSimulatedReceiveIdenticalMultisets) {
     std::int64_t schedule_violations = -1;
   };
   std::vector<Result> results(grid.size());
-  core::parallel_for_indexed(
-      grid.size(), core::hardware_jobs(), [&](std::size_t i) {
-        const auto [p, seed] = grid[i];
-        Result& r = results[i];
-        auto native_progs =
-            workload::fuzz_supersteps(p, supersteps, seed, r.native);
-        bsp::Machine native(p, bsp::Params{1, 1});
-        r.native_hit_limit = native.run(native_progs).hit_superstep_limit;
+  core::ThreadPool pool(core::hardware_jobs() - 1);
+  pool.for_ranges(grid.size(), [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      const auto [p, seed] = grid[i];
+      Result& r = results[i];
+      auto native_progs =
+          workload::fuzz_supersteps(p, supersteps, seed, r.native);
+      bsp::Machine native(p, bsp::Params{1, 1});
+      r.native_hit_limit = native.run(native_progs).hit_superstep_limit;
 
-        auto sim_progs =
-            workload::fuzz_supersteps(p, supersteps, seed, r.sim);
-        BspOnLogp sim(p, logp::Params{16, 1, 2});
-        const auto rep = sim.run(sim_progs);
-        r.sim_completed = rep.logp.completed();
-        r.sim_stall_free = rep.logp.stall_free();
-        r.schedule_violations = rep.schedule_violations;
-      });
+      auto sim_progs = workload::fuzz_supersteps(p, supersteps, seed, r.sim);
+      BspOnLogp sim(p, logp::Params{16, 1, 2});
+      const auto rep = sim.run(sim_progs);
+      r.sim_completed = rep.logp.completed();
+      r.sim_stall_free = rep.logp.stall_free();
+      r.schedule_violations = rep.schedule_violations;
+    }
+  });
 
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const auto [p, seed] = grid[i];

@@ -45,9 +45,10 @@ TEST(RandomizedRouting, UsuallyCleanWithLargeCapacity) {
     const auto rep = route_randomized(rel, prm, opt);
     EXPECT_TRUE(rep.logp.completed());
     clean += rep.clean();
-    if (rep.clean())
+    if (rep.clean()) {
       EXPECT_LE(rep.protocol_time(),
                 RandomizedRoutingReport::bound(prm, h, opt.oversample));
+    }
   }
   EXPECT_GE(clean, 8) << "stalling should be rare in the theorem's regime";
 }
