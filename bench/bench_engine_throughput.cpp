@@ -1,10 +1,8 @@
 // Wall-clock throughput of the LogP discrete-event engine itself: how many
-// engine events per second each scheduler core sustains, measured on the
-// workloads the paper's experiments lean on. This is the perf trajectory
-// anchor for the scheduler rewrite — the calendar/bucket queue
-// (SchedulerKind::Bucket) versus the original priority-queue baseline
-// (SchedulerKind::ReferenceHeap) — so BENCH_engine.json records events/sec,
-// model finish times, and the bucket/heap speedup per workload.
+// engine events per second its calendar/bucket queue sustains, measured on
+// the workloads the paper's experiments lean on. This is the engine's perf
+// trajectory anchor: BENCH_engine.json records events/sec, allocations per
+// event and model finish times per workload.
 //
 //   bench_engine_throughput --json BENCH_engine.json
 #include <algorithm>
@@ -45,10 +43,8 @@ struct Measurement {
   double bytes_per_event = -1;
 };
 
-Measurement measure_once(const Workload& w, logp::SchedulerKind sched,
-                         double min_seconds) {
+Measurement measure_once(const Workload& w, double min_seconds) {
   logp::Machine::Options o;
-  o.scheduler = sched;
   o.delivery = w.delivery;
   logp::Machine machine(w.p, w.prm, o);
   const std::span<const logp::ProgramFn> progs(w.progs);
@@ -81,12 +77,11 @@ Measurement measure_once(const Workload& w, logp::SchedulerKind sched,
 /// so one preempted slice on a loaded runner cannot crater a trajectory
 /// metric. Model results (finish, events/run) are identical across
 /// repetitions by determinism; only the wall-clock rate varies.
-Measurement measure(const Workload& w, logp::SchedulerKind sched,
-                    double min_seconds, int repeat) {
+Measurement measure(const Workload& w, double min_seconds, int repeat) {
   std::vector<Measurement> runs;
   runs.reserve(static_cast<std::size_t>(repeat));
   for (int r = 0; r < repeat; ++r)
-    runs.push_back(measure_once(w, sched, min_seconds));
+    runs.push_back(measure_once(w, min_seconds));
   std::sort(runs.begin(), runs.end(),
             [](const Measurement& a, const Measurement& b) {
               return a.events_per_sec < b.events_per_sec;
@@ -101,8 +96,7 @@ int main(int argc, char** argv) {
   rep.use_workloads({"hotspot", "all-to-all"});
   auto& s = rep.series(
       "throughput",
-      {"workload", "p", "events/run", "bucket ev/s", "heap ev/s", "speedup",
-       "model finish"});
+      {"workload", "p", "events/run", "bucket ev/s", "model finish"});
   auto& micro_series = rep.series(
       "micro_engine", {"p", "k", "events/run", "bucket ev/s", "model finish"});
   if (rep.list()) return rep.finish();
@@ -129,34 +123,18 @@ int main(int argc, char** argv) {
                                  workload::all_to_all(128)});
   }
 
-  std::cout << "Engine scheduler throughput: calendar/bucket queue vs the "
-               "priority-queue baseline\n\n";
+  std::cout << "Engine scheduler throughput: calendar/bucket queue\n\n";
   for (const Workload& w : workloads) {
-    const Measurement bucket =
-        measure(w, logp::SchedulerKind::Bucket, min_seconds, rep.repeat());
-    const Measurement heap = measure(w, logp::SchedulerKind::ReferenceHeap,
-                                     min_seconds, rep.repeat());
-    // Same seed + options => identical model results across schedulers.
-    if (bucket.finish != heap.finish || bucket.events / bucket.reps !=
-                                            heap.events / heap.reps) {
-      std::cerr << "scheduler divergence on " << w.name << "!\n";
-      return 1;
-    }
-    const double speedup = bucket.events_per_sec / heap.events_per_sec;
+    const Measurement bucket = measure(w, min_seconds, rep.repeat());
     s.row({w.name, w.p, bucket.events / bucket.reps,
-           bench::Cell(bucket.events_per_sec, 0),
-           bench::Cell(heap.events_per_sec, 0), bench::Cell(speedup, 2),
-           bucket.finish});
+           bench::Cell(bucket.events_per_sec, 0), bucket.finish});
     rep.metric("events_per_sec_bucket_" + w.name, bucket.events_per_sec);
-    rep.metric("events_per_sec_heap_" + w.name, heap.events_per_sec);
-    rep.metric("speedup_" + w.name, speedup);
     rep.metric("allocs_per_event_" + w.name, bucket.allocs_per_event);
     rep.metric("bytes_per_event_" + w.name, bucket.bytes_per_event);
     if (rep.trace_sink() != nullptr) {
       // One extra traced run per workload, outside the timed loops above:
       // the throughput numbers always measure the sink-free path.
       logp::Machine::Options o;
-      o.scheduler = logp::SchedulerKind::Bucket;
       o.delivery = w.delivery;
       o.sink = rep.trace_sink();
       logp::Machine machine(w.p, w.prm, o);
@@ -164,9 +142,7 @@ int main(int argc, char** argv) {
     }
   }
   s.print(std::cout);
-  std::cout << "\nspeedup = bucket events/sec over the priority-queue "
-               "baseline; both schedulers\nreplay the identical event "
-               "sequence (RunStats are bit-identical per seed).\n\n";
+  std::cout << "\n";
   rep.metric("hardware_jobs", static_cast<std::int64_t>(core::hardware_jobs()));
 
   // Raw-engine micro series: one machine reused across runs at large p, so
@@ -185,8 +161,7 @@ int main(int argc, char** argv) {
       const Workload w{"micro_hotspot", logp::Params{256, 1, 2}, mp.p,
                        logp::DeliverySchedule::Earliest,
                        workload::hotspot(mp.p, mp.k)};
-      const Measurement m = measure(w, logp::SchedulerKind::Bucket,
-                                    min_seconds / 2, rep.repeat());
+      const Measurement m = measure(w, min_seconds / 2, rep.repeat());
       micro_series.row({mp.p, static_cast<std::int64_t>(mp.k),
                         m.events / m.reps, bench::Cell(m.events_per_sec, 0),
                         m.finish});

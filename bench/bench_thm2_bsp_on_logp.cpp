@@ -62,7 +62,7 @@ PointResult run_point(const Point& pt, const logp::Params& prm,
   PointResult r;
   r.t_sim = rp.logp.finish_time;
   // The reference BSP cost of the communication superstep alone.
-  for (const auto& st : rp.steps) r.ref += st.w_max + prm.G * st.h + prm.L;
+  r.ref = rp.bsp_reference_time(bsp::Params{prm.G, prm.L});
   const auto& s0 = rp.steps.front();
   r.r = s0.r;
   r.s = s0.s;

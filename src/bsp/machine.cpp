@@ -1,6 +1,7 @@
 #include "src/bsp/machine.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "src/core/contracts.h"
@@ -39,75 +40,30 @@ RunStats Machine::run(std::span<const std::unique_ptr<ProcProgram>> programs) {
   BSPLOGP_EXPECTS(std::cmp_equal(programs.size(), nprocs_));
   for (const auto& prog : programs) BSPLOGP_EXPECTS(prog != nullptr);
 
-  if (options_.sink != nullptr)
-    options_.sink->run_begin(trace::RunInfo{"bsp", nprocs_, 0, 0, 0, 0,
-                                            params_.g, params_.l});
-
   const auto np = static_cast<std::size_t>(nprocs_);
   // inboxes[i]: messages delivered to processor i at the start of the
   // current superstep; refilled (and the old contents discarded, as the
   // model prescribes) by each communication phase.
   std::vector<std::vector<Message>> inboxes(np);
   std::vector<std::vector<Message>> outboxes(np);
-  // A program that returned false has halted for good: it is never stepped
-  // again (its inbox is still refilled each superstep, as the model
-  // delivers regardless), so it cannot "resurrect" by returning true later.
-  std::vector<bool> halted(np, false);
   core::Rng shuffle_rng(options_.shuffle_seed);
-
-  RunStats stats;
-  stats.proc_finish.assign(np, 0);
-  for (std::int64_t step = 0;; ++step) {
-    if (step >= options_.max_supersteps) {
-      stats.hit_superstep_limit = true;
-      break;
-    }
-    if (options_.sink != nullptr)
-      options_.sink->emit(
-          trace::Event::superstep_begin(stats.finish_time, step));
-
+  SuperstepCore core("bsp", nprocs_, params_, options_.max_supersteps,
+                     options_.sink);
+  for (;;) {
     // --- Local computation phase (all processors, any order: they cannot
     // observe each other within a superstep).
-    SuperstepCost cost;
-    bool any_continue = false;
-    std::vector<ProcId> halted_now;
-    for (ProcId i = 0; i < nprocs_; ++i) {
-      if (halted[static_cast<std::size_t>(i)]) continue;
-      auto& inbox = inboxes[static_cast<std::size_t>(i)];
-      auto& outbox = outboxes[static_cast<std::size_t>(i)];
-      Time work = static_cast<Time>(inbox.size());  // pool extraction cost
-      Ctx ctx(i, nprocs_, step, inbox, outbox, work);
-      const bool wants_more = programs[static_cast<std::size_t>(i)]->step(ctx);
-      if (!wants_more) {
-        halted[static_cast<std::size_t>(i)] = true;
-        halted_now.push_back(i);
-      }
-      any_continue = any_continue || wants_more;
-      cost.w = std::max(cost.w, work);
-    }
+    for (std::size_t i = 0; i < np; ++i)
+      core.step(static_cast<ProcId>(i), *programs[i], inboxes[i], outboxes[i]);
+    // Price the superstep from its output pools before delivering them.
+    // After the last one no processor would look at a pool, so the run
+    // ends undelivered.
+    if (!core.close(outboxes)) break;
 
-    // --- Communication phase: route the h-relation formed by the output
-    // pools. h is the max over processors of messages sent or received.
-    std::vector<Time> received(np, 0);
-    Time sent_max = 0;
-    for (ProcId i = 0; i < nprocs_; ++i) {
-      auto& outbox = outboxes[static_cast<std::size_t>(i)];
-      sent_max = std::max(sent_max, static_cast<Time>(outbox.size()));
-      for (const Message& m : outbox)
-        received[static_cast<std::size_t>(m.dst)] += 1;
-    }
-    Time recv_max = 0;
-    for (Time r : received) recv_max = std::max(recv_max, r);
-    cost.h = std::max(sent_max, recv_max);
-
-    // Deliver: new input pools replace the old ones.
+    // --- Communication phase: new input pools replace the old ones.
     for (auto& inbox : inboxes) inbox.clear();
-    for (ProcId i = 0; i < nprocs_; ++i) {
-      auto& outbox = outboxes[static_cast<std::size_t>(i)];
-      for (Message& m : outbox) {
-        stats.messages += 1;
+    for (auto& outbox : outboxes) {
+      for (const Message& m : outbox)
         inboxes[static_cast<std::size_t>(m.dst)].push_back(m);
-      }
       outbox.clear();
     }
     // Iterating senders in id order already yields SourceOrder pools.
@@ -115,31 +71,90 @@ RunStats Machine::run(std::span<const std::unique_ptr<ProcProgram>> programs) {
       for (auto& inbox : inboxes)
         std::shuffle(inbox.begin(), inbox.end(), shuffle_rng);
     }
+  }
+  stats_ = core.finish();
+  return stats_;
+}
 
-    const Time before = stats.finish_time;
-    stats.finish_time += cost.total(params_);
-    stats.supersteps += 1;
-    stats.trace.push_back(cost);
+SuperstepCore::SuperstepCore(std::string_view machine, ProcId nprocs,
+                             const Params& params,
+                             std::int64_t max_supersteps,
+                             trace::TraceSink* sink)
+    : nprocs_(nprocs),
+      params_(params),
+      max_supersteps_(max_supersteps),
+      sink_(sink),
+      works_(static_cast<std::size_t>(nprocs), 0),
+      halt_step_(static_cast<std::size_t>(nprocs), -1),
+      received_(static_cast<std::size_t>(nprocs), 0) {
+  BSPLOGP_EXPECTS(nprocs >= 1);
+  params_.validate();
+  BSPLOGP_EXPECTS(max_supersteps >= 1);
+  stats_.proc_finish.assign(static_cast<std::size_t>(nprocs), 0);
+  if (sink_ != nullptr) {
+    sink_->run_begin(trace::RunInfo{std::string(machine), nprocs_, 0, 0, 0,
+                                    0, params_.g, params_.l});
+    sink_->emit(trace::Event::superstep_begin(0, 0));
+  }
+}
+
+void SuperstepCore::step(ProcId pid, ProcProgram& prog,
+                         std::span<const Message> inbox,
+                         std::vector<Message>& outbox) {
+  const auto i = static_cast<std::size_t>(pid);
+  works_[i] = 0;
+  if (halt_step_[i] >= 0) return;
+  Time work = static_cast<Time>(inbox.size());  // pool extraction cost
+  Ctx ctx(pid, nprocs_, superstep_, inbox, outbox, work);
+  if (!prog.step(ctx)) halt_step_[i] = superstep_;
+  works_[i] = work;
+}
+
+bool SuperstepCore::close(std::span<const std::vector<Message>> outboxes) {
+  BSPLOGP_EXPECTS(std::cmp_equal(outboxes.size(), nprocs_));
+  SuperstepCost cost;
+  std::fill(received_.begin(), received_.end(), 0);
+  for (std::size_t i = 0; i < outboxes.size(); ++i) {
+    cost.w = std::max(cost.w, works_[i]);
+    cost.h = std::max(cost.h, static_cast<Time>(outboxes[i].size()));
+    stats_.messages += static_cast<std::int64_t>(outboxes[i].size());
+    for (const Message& m : outboxes[i])
+      received_[static_cast<std::size_t>(m.dst)] += 1;
+  }
+  for (const Time r : received_) cost.h = std::max(cost.h, r);
+
+  const Time before = stats_.finish_time;
+  stats_.finish_time += cost.total(params_);
+  stats_.supersteps += 1;
+  stats_.trace.push_back(cost);
+  bool running = false;
+  for (std::size_t i = 0; i < halt_step_.size(); ++i) {
     // A processor that halted this superstep finished at its closing
     // barrier: the cumulative cost including this superstep.
-    for (const ProcId i : halted_now)
-      stats.proc_finish[static_cast<std::size_t>(i)] = stats.finish_time;
-    if (options_.sink != nullptr)
-      options_.sink->emit(trace::Event::superstep_end(
-          stats.finish_time, before, cost.w, cost.h, step));
-
-    if (!any_continue) {
-      // The model delivers the final pools, but no processor will look at
-      // them: every program has halted.
-      break;
-    }
+    if (halt_step_[i] == superstep_) stats_.proc_finish[i] = stats_.finish_time;
+    running = running || halt_step_[i] < 0;
   }
+  if (sink_ != nullptr)
+    sink_->emit(trace::Event::superstep_end(stats_.finish_time, before,
+                                            cost.w, cost.h, superstep_));
+  if (!running) return false;
+  superstep_ += 1;
+  if (superstep_ >= max_supersteps_) {
+    stats_.hit_superstep_limit = true;
+    return false;
+  }
+  if (sink_ != nullptr)
+    sink_->emit(
+        trace::Event::superstep_begin(stats_.finish_time, superstep_));
+  return true;
+}
+
+RunStats SuperstepCore::finish() {
   for (ProcId i = 0; i < nprocs_; ++i)
-    if (!halted[static_cast<std::size_t>(i)])
-      stats.blocked_procs.push_back(i);
-  if (options_.sink != nullptr) options_.sink->run_end(stats.finish_time);
-  stats_ = stats;
-  return stats;
+    if (halt_step_[static_cast<std::size_t>(i)] < 0)
+      stats_.blocked_procs.push_back(i);
+  if (sink_ != nullptr) sink_->run_end(stats_.finish_time);
+  return std::move(stats_);
 }
 
 }  // namespace bsplogp::bsp

@@ -49,7 +49,7 @@ class Ctx {
   /// Records `ops` local operations of computation for the cost model.
   void charge(Time ops);
 
-  /// Constructed by executors (the BSP Machine, and xsim's Theorem-2
+  /// Constructed by executors (bsp::SuperstepCore, and xsim's Theorem-2
   /// superstep simulation): binds one processor's view for one superstep.
   Ctx(ProcId pid, ProcId nprocs, std::int64_t superstep,
       std::span<const Message> inbox, std::vector<Message>& outbox,

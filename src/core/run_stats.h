@@ -45,7 +45,7 @@ struct RunStatsBase {
   [[nodiscard]] bool all_finished() const { return blocked_procs.empty(); }
 
   /// Field-wise equality, so derived stats records can default their own
-  /// (the LogP scheduler-equivalence guard compares entire RunStats).
+  /// (tests compare entire RunStats records).
   friend bool operator==(const RunStatsBase&, const RunStatsBase&) = default;
 };
 

@@ -1,4 +1,4 @@
-// Event queues for the LogP discrete-event engine.
+// The event queue of the LogP discrete-event engine.
 //
 // The engine pops events in (time, phase, seq) order: time steps ascend,
 // the three phases within a step run Delivery -> Processor -> Accept, and
@@ -7,30 +7,21 @@
 // processor resumed during the Accept phase immediately issuing a
 // same-step RecvCheck), but never into the past.
 //
-// Storage is SoA: the queues order 12-byte records (proc, payload slot,
+// Storage is SoA: the queue orders 12-byte records (proc, payload slot,
 // kind) — time is implicit in the wheel position, phase in the lane — and
 // the one event kind that carries data (Delivery) indexes a Message in a
 // free-listed payload pool owned by EventQueue. Wheel scans and lane
 // drains touch only the hot ordering words; a 40-byte Message is written
 // once at push and read once at delivery, never copied through the queue.
 //
-// Two implementations share the ordering contract:
-//  * BucketQueue — a calendar/timing-wheel queue: per-step buckets holding
-//    three append-only phase lanes (appends arrive in push order, so a
-//    lane IS its sorted order), a 64-bit occupancy bitmap for O(1) advance
-//    to the next non-empty step, and a single sorted flat overflow buffer
-//    (binary-search insert, batch migration — no node allocations) for
-//    events beyond the wheel horizon. Push and pop are O(1) amortized; no
-//    comparator runs in the hot loop.
-//  * HeapQueue — the original priority-queue formulation (on an explicit
-//    vector so clear() keeps capacity), kept as the reference scheduler:
-//    the determinism guard in tests/logp/scheduler_equivalence_test.cpp
-//    checks bit-identical RunStats against it, and bench_engine_throughput
-//    measures the bucket queue's speedup over it.
-//
-// Both queues assign their own internal FIFO counter at push, so the pop
-// order is a pure function of the push order — bit-identical across
-// SchedulerKind for the same event stream.
+// EventQueue is a calendar/timing-wheel queue: per-step buckets holding
+// three append-only phase lanes (appends arrive in push order, so a lane
+// IS its sorted order), a 64-bit occupancy bitmap for O(1) advance to the
+// next non-empty step, and a single sorted flat overflow buffer
+// (binary-search insert, batch migration — no node allocations) for events
+// beyond the wheel horizon. Push and pop are O(1) amortized; no comparator
+// runs in the hot loop. tests/logp/event_queue_test.cpp checks its pop
+// order against a binary-heap oracle on random streams.
 #pragma once
 
 #include <algorithm>
@@ -64,7 +55,7 @@ inline constexpr PayloadSlot kNoPayload = -1;
 
 /// What the engine loop consumes: when, what, who, and (for Delivery) the
 /// payload-pool slot of the message. Phase and FIFO order are scheduling
-/// concerns resolved inside the queues; the loop never reads them.
+/// concerns resolved inside the queue; the loop never reads them.
 struct Event {
   Time t;
   ProcId proc;  // acting processor, or destination for Delivery/Accept
@@ -80,58 +71,14 @@ struct LaneRec {
   EventKind kind;
 };
 
-/// Reference scheduler: a binary heap ordered by (t, phase, seq), on an
-/// explicit vector so clear() keeps capacity across runs.
-class HeapQueue {
- public:
-  void clear() {
-    heap_.clear();
-    next_seq_ = 0;
-  }
-
-  void push(Time t, Phase phase, EventKind kind, ProcId proc,
-            PayloadSlot payload) {
-    heap_.push_back(Entry{t, next_seq_++, proc, payload, kind, phase});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-  }
-
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-
-  Event pop() {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    const Entry e = heap_.back();
-    heap_.pop_back();
-    return Event{e.t, e.proc, e.payload, e.kind};
-  }
-
- private:
-  struct Entry {
-    Time t;
-    std::int64_t seq;  // FIFO tie-break for determinism
-    ProcId proc;
-    PayloadSlot payload;
-    EventKind kind;
-    Phase phase;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.t != b.t) return a.t > b.t;
-      if (a.phase != b.phase) return a.phase > b.phase;
-      return a.seq > b.seq;
-    }
-  };
-  std::vector<Entry> heap_;
-  std::int64_t next_seq_ = 0;
-};
-
-/// Calendar-queue scheduler: a timing wheel of per-step buckets with an
+/// The engine's event queue: a timing wheel of per-step buckets with an
 /// occupancy bitmap, spilling events beyond the horizon into a sorted flat
-/// buffer.
-class BucketQueue {
+/// buffer, plus the pool of Delivery payloads.
+class EventQueue {
  public:
-  BucketQueue() { cur_slot_ = &wheel_[0]; }
+  EventQueue() { cur_slot_ = &wheel_[0]; }
 
-  void clear() {
+  void reset() {
     for (Slot& s : wheel_) s.reset();
     for (std::uint64_t& w : occupied_) w = 0;
     overflow_.clear();
@@ -139,16 +86,20 @@ class BucketQueue {
     cur_ = 0;
     cur_slot_ = &wheel_[0];
     wheel_count_ = 0;
+    pool_.clear();       // keeps capacity
+    pool_free_.clear();  // keeps capacity
   }
 
-  void push(Time t, Phase phase, EventKind kind, ProcId proc,
-            PayloadSlot payload) {
-    BSPLOGP_ASSERT(t >= cur_);  // the engine never schedules the past
-    if (t < cur_ + kWheelSize) {
-      push_wheel(t, phase, LaneRec{proc, payload, kind});
-    } else {
-      push_overflow(t, phase, LaneRec{proc, payload, kind});
-    }
+  /// Schedules a payload-free event.
+  void push(Time t, Phase phase, EventKind kind, ProcId proc) {
+    push_rec(t, phase, LaneRec{proc, kNoPayload, kind});
+  }
+
+  /// Schedules an event carrying a Message (Delivery): the message is
+  /// written once into a pooled slot; the queue orders only the slot index.
+  void push_msg(Time t, Phase phase, EventKind kind, ProcId proc,
+                const Message& msg) {
+    push_rec(t, phase, LaneRec{proc, alloc_payload(msg), kind});
   }
 
   // Derived, not a third counter: a total decremented beside wheel_count_
@@ -190,6 +141,21 @@ class BucketQueue {
     return Event{};
   }
 
+  /// The message parked in `slot`. The reference stays valid until the
+  /// next push_msg (the pool vector may grow) — consume before pushing.
+  [[nodiscard]] const Message& payload(PayloadSlot slot) const {
+    BSPLOGP_ASSERT(slot >= 0 &&
+                   static_cast<std::size_t>(slot) < pool_.size());
+    return pool_[static_cast<std::size_t>(slot)];
+  }
+
+  /// Recycles a consumed payload slot.
+  void release(PayloadSlot slot) {
+    BSPLOGP_ASSERT(slot >= 0 &&
+                   static_cast<std::size_t>(slot) < pool_.size());
+    pool_free_.push_back(slot);
+  }
+
  private:
   static constexpr int kWheelBits = 10;
   static constexpr Time kWheelSize = Time{1} << kWheelBits;
@@ -218,6 +184,15 @@ class BucketQueue {
     LaneRec rec;
     Phase phase;
   };
+
+  void push_rec(Time t, Phase phase, LaneRec rec) {
+    BSPLOGP_ASSERT(t >= cur_);  // the engine never schedules the past
+    if (t < cur_ + kWheelSize) {
+      push_wheel(t, phase, rec);
+    } else {
+      push_overflow(t, phase, rec);
+    }
+  }
 
   static std::size_t index_of(Time t) {
     return static_cast<std::size_t>(static_cast<std::uint64_t>(t) & kMask);
@@ -306,9 +281,8 @@ class BucketQueue {
     // now inside [cur_, cur_ + W) enters its lane before any handler at
     // cur_ can push to the same step directly; otherwise a direct push
     // would order ahead of an earlier-pushed overflow entry, breaking
-    // FIFO and diverging from the reference heap. (Migrated entries all
-    // lie at t >= the pre-scan horizon > cur_, so the minimum found by
-    // the scan is unaffected.)
+    // FIFO. (Migrated entries all lie at t >= the pre-scan horizon > cur_,
+    // so the minimum found by the scan is unaffected.)
     migrate();
     cur_slot_ = &wheel_[index_of(cur_)];
   }
@@ -331,73 +305,6 @@ class BucketQueue {
     return t;
   }
 
-  std::vector<Slot> wheel_{static_cast<std::size_t>(kWheelSize)};
-  std::uint64_t occupied_[kWords] = {};
-  // Flat sorted overflow: [overflow_head_, size) is live, ascending by t,
-  // FIFO within t. The prefix [0, overflow_head_) is already migrated.
-  std::vector<OverflowRec> overflow_;
-  std::size_t overflow_head_ = 0;
-  Time cur_ = 0;
-  Slot* cur_slot_ = nullptr;  // == &wheel_[index_of(cur_)]; wheel_ is fixed
-  std::size_t wheel_count_ = 0;
-};
-
-/// Scheduler selector plus the shared message-payload pool: dispatches to
-/// the bucket queue (default) or the reference heap, per
-/// logp::Machine::Options.
-class EventQueue {
- public:
-  void reset(bool use_bucket) {
-    bucket_mode_ = use_bucket;
-    bucket_.clear();
-    heap_.clear();
-    pool_.clear();      // keeps capacity
-    pool_free_.clear();  // keeps capacity
-  }
-
-  /// Schedules a payload-free event.
-  void push(Time t, Phase phase, EventKind kind, ProcId proc) {
-    if (bucket_mode_) {
-      bucket_.push(t, phase, kind, proc, kNoPayload);
-    } else {
-      heap_.push(t, phase, kind, proc, kNoPayload);
-    }
-  }
-
-  /// Schedules an event carrying a Message (Delivery): the message is
-  /// written once into a pooled slot; the queues order only the slot index.
-  void push_msg(Time t, Phase phase, EventKind kind, ProcId proc,
-                const Message& msg) {
-    const PayloadSlot slot = alloc_payload(msg);
-    if (bucket_mode_) {
-      bucket_.push(t, phase, kind, proc, slot);
-    } else {
-      heap_.push(t, phase, kind, proc, slot);
-    }
-  }
-
-  [[nodiscard]] bool empty() const {
-    return bucket_mode_ ? bucket_.empty() : heap_.empty();
-  }
-
-  Event pop() { return bucket_mode_ ? bucket_.pop() : heap_.pop(); }
-
-  /// The message parked in `slot`. The reference stays valid until the
-  /// next push_msg (the pool vector may grow) — consume before pushing.
-  [[nodiscard]] const Message& payload(PayloadSlot slot) const {
-    BSPLOGP_ASSERT(slot >= 0 &&
-                   static_cast<std::size_t>(slot) < pool_.size());
-    return pool_[static_cast<std::size_t>(slot)];
-  }
-
-  /// Recycles a consumed payload slot.
-  void release(PayloadSlot slot) {
-    BSPLOGP_ASSERT(slot >= 0 &&
-                   static_cast<std::size_t>(slot) < pool_.size());
-    pool_free_.push_back(slot);
-  }
-
- private:
   PayloadSlot alloc_payload(const Message& msg) {
     if (!pool_free_.empty()) {
       const PayloadSlot slot = pool_free_.back();
@@ -410,14 +317,22 @@ class EventQueue {
     return slot;
   }
 
-  bool bucket_mode_ = true;
-  BucketQueue bucket_;
-  HeapQueue heap_;
-  // Message payload pool, shared by both queue implementations: in-flight
-  // Delivery payloads live here, indexed by PayloadSlot, recycled through
-  // a free list. Steady state allocates nothing.
+  std::vector<Slot> wheel_{static_cast<std::size_t>(kWheelSize)};
+  std::uint64_t occupied_[kWords] = {};
+  // Flat sorted overflow: [overflow_head_, size) is live, ascending by t,
+  // FIFO within t. The prefix [0, overflow_head_) is already migrated.
+  std::vector<OverflowRec> overflow_;
+  std::size_t overflow_head_ = 0;
+  Time cur_ = 0;
+  Slot* cur_slot_ = nullptr;  // == &wheel_[index_of(cur_)]; wheel_ is fixed
+  std::size_t wheel_count_ = 0;
+  // Message payload pool: in-flight Delivery payloads live here, indexed
+  // by PayloadSlot, recycled through a free list. Steady state allocates
+  // nothing.
   std::vector<Message> pool_;
   std::vector<PayloadSlot> pool_free_;
 };
 
 }  // namespace bsplogp::logp::detail
+
+

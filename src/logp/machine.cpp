@@ -96,64 +96,34 @@ const RunStats& Machine::run(std::span<const ProgramFn> programs) {
 Time Machine::choose_delivery_slot(DstState& dst, Time accept_time) {
   const Time lo = accept_time + 1;
   const Time hi = accept_time + params_.L;
-  const bool ref = reference_scheduler();
-  auto free_slot = [&](Time s) {
-    return ref ? std::find(dst.slots_ref.begin(), dst.slots_ref.end(), s) ==
-                     dst.slots_ref.end()
-               : !dst.slots.occupied(s);
-  };
+  // The capacity constraint guarantees a free slot exists in the window.
+  Time s = -1;
   switch (options_.delivery) {
-    case DeliverySchedule::Earliest: {
-      if (!ref) {
-        const Time s = dst.slots.first_free(lo, hi);
-        BSPLOGP_ASSERT(s >= 0);
-        return s;
-      }
-      for (Time s = lo; s <= hi; ++s)
-        if (free_slot(s)) return s;
+    case DeliverySchedule::Earliest:
+      s = dst.slots.first_free(lo, hi);
       break;
-    }
-    case DeliverySchedule::Latest: {
-      if (!ref) {
-        const Time s = dst.slots.last_free(lo, hi);
-        BSPLOGP_ASSERT(s >= 0);
-        return s;
-      }
-      for (Time s = hi; s >= lo; --s)
-        if (free_slot(s)) return s;
+    case DeliverySchedule::Latest:
+      s = dst.slots.last_free(lo, hi);
       break;
-    }
     case DeliverySchedule::UniformRandom: {
       // Occupied slots number < capacity <= L, so random probing converges
-      // fast; fall back to an exhaustive scan for tiny windows. The rng
-      // draw sequence is identical under both schedulers, keeping runs
-      // bit-reproducible across SchedulerKind: both draw below(free count)
-      // and return the k-th free slot — the bitmap ranks word-at-a-time,
-      // the reference path materializes the list into a reused scratch.
+      // fast; for tiny windows fall back to drawing k below the free count
+      // and taking the k-th free slot, ranked word-at-a-time.
       for (int tries = 0; tries < 64; ++tries) {
-        const Time s = lo + static_cast<Time>(rng_.below(
-                                 static_cast<std::uint64_t>(hi - lo + 1)));
-        if (free_slot(s)) return s;
+        s = lo + static_cast<Time>(
+                     rng_.below(static_cast<std::uint64_t>(hi - lo + 1)));
+        if (!dst.slots.occupied(s)) return s;
       }
-      if (!ref) {
-        const Time cnt = dst.slots.count_free(lo, hi);
-        BSPLOGP_ASSERT(cnt > 0);
-        const auto k = static_cast<Time>(
-            rng_.below(static_cast<std::uint64_t>(cnt)));
-        const Time s = dst.slots.nth_free(lo, hi, k);
-        BSPLOGP_ASSERT(s >= 0);
-        return s;
-      }
-      free_scratch_.clear();
-      for (Time s = lo; s <= hi; ++s)
-        if (free_slot(s)) free_scratch_.push_back(s);
-      BSPLOGP_ASSERT(!free_scratch_.empty());
-      return free_scratch_[rng_.below(free_scratch_.size())];
+      const Time cnt = dst.slots.count_free(lo, hi);
+      BSPLOGP_ASSERT(cnt > 0);
+      s = dst.slots.nth_free(
+          lo, hi,
+          static_cast<Time>(rng_.below(static_cast<std::uint64_t>(cnt))));
+      break;
     }
   }
-  // The capacity constraint guarantees a free slot exists in the window.
-  BSPLOGP_ASSERT(false && "no free delivery slot");
-  return lo;
+  BSPLOGP_ASSERT(s >= 0 && "no free delivery slot");
+  return s;
 }
 
 void Machine::resume(EngineProc& p) {
@@ -223,11 +193,7 @@ void Machine::handle_accept(ProcId dst_id, Time t) {
     stats_.max_in_transit = std::max(stats_.max_in_transit, dst.in_transit);
     BSPLOGP_ASSERT(dst.in_transit <= capacity_);
     const Time slot = choose_delivery_slot(dst, t);
-    if (reference_scheduler()) {
-      dst.slots_ref.push_back(slot);
-    } else {
-      dst.slots.set(slot);
-    }
+    dst.slots.set(slot);
     events_.push_msg(slot, Phase::Delivery, EventKind::Delivery, dst_id,
                      sender.out_);
     switch (options_.accept_order) {
@@ -263,17 +229,7 @@ void Machine::handle_delivery(ProcId dst_id, Time t, const Message& msg) {
   DstState& dst = dsts_[static_cast<std::size_t>(dst_id)];
   dst.in_transit -= 1;
   BSPLOGP_ASSERT(dst.in_transit >= 0);
-  if (reference_scheduler()) {
-    // Delivery times within a destination are unique (one message per
-    // slot), so this erases exactly the one entry; swap-with-back keeps
-    // the erase O(1) and order is irrelevant to a membership set.
-    const auto it = std::find(dst.slots_ref.begin(), dst.slots_ref.end(), t);
-    BSPLOGP_ASSERT(it != dst.slots_ref.end());
-    *it = dst.slots_ref.back();
-    dst.slots_ref.pop_back();
-  } else {
-    dst.slots.clear(t);
-  }
+  dst.slots.clear(t);
   EngineProc& p = proc(dst_id);
   p.inbox_.push_back(msg);
   stats_.messages += 1;
@@ -346,10 +302,9 @@ void Machine::do_acquire(EngineProc& p, Time t) {
   for (DstState& dst : dsts_) {
     dst.pending.clear();
     dst.in_transit = 0;
-    dst.slots_ref.clear();
-    if (!reference_scheduler()) dst.slots.init(params_.L);
+    dst.slots.init(params_.L);
   }
-  events_.reset(!reference_scheduler());
+  events_.reset();
   rng_ = core::Rng(options_.seed);
   stats_.finish_time = 0;
   stats_.proc_finish.assign(static_cast<std::size_t>(nprocs_), 0);

@@ -25,11 +25,9 @@
 //
 // Scheduling core (see event_queue.h / slot_bitmap.h): events live in a
 // calendar/bucket queue indexed by (time step, phase), per-destination
-// delivery slots in a circular bitmap over the L-window. The original
-// priority-queue scheduler is retained as SchedulerKind::ReferenceHeap;
-// both schedulers process the identical event sequence, so a fixed seed
-// and options yield bit-identical RunStats — the determinism guard in
-// tests/logp/scheduler_equivalence_test.cpp enforces this.
+// delivery slots in a circular bitmap over the L-window. A fixed seed and
+// options yield bit-identical RunStats and event streams — the golden
+// hashes in tests/logp/scheduler_equivalence_test.cpp pin them per policy.
 #pragma once
 
 #include <algorithm>
@@ -61,11 +59,6 @@ enum class AcceptOrder { Fifo, Lifo, Random };
 /// (adversarial for latency — the default, since correctness claims in the
 /// paper are worst-case), earliest admissible, or uniformly random.
 enum class DeliverySchedule { Latest, Earliest, UniformRandom };
-
-/// Event-scheduler implementation. Bucket is the calendar-queue core and
-/// the default; ReferenceHeap is the original priority-queue scheduler,
-/// kept for equivalence testing and as the throughput baseline.
-enum class SchedulerKind { Bucket, ReferenceHeap };
 
 /// The engine's Proc implementation: scheduling state for the
 /// discrete-event loop.
@@ -135,8 +128,6 @@ class Machine {
     DeliverySchedule delivery = DeliverySchedule::Latest;
     /// Seed for the Random policies.
     std::uint64_t seed = 0;
-    /// Event-scheduler implementation (identical semantics either way).
-    SchedulerKind scheduler = SchedulerKind::Bucket;
     /// Observer for the run's event stream (src/trace): submissions,
     /// acceptances, stall spans, deliveries, acquisitions, gap waits,
     /// queue-depth samples. Not owned; must outlive run(). Leave null for
@@ -184,14 +175,7 @@ class Machine {
     // index — all supported on the ring).
     core::RingBuffer<ProcId> pending;  // submitted, not accepted
     Time in_transit = 0;               // accepted, not delivered
-    detail::SlotBitmap slots;  // scheduled delivery times (Bucket)
-    // Scheduled delivery times (ReferenceHeap): a flat unsorted vector,
-    // membership by linear scan over <= capacity() <= L live entries.
-    // Was std::set, whose node churn cost one allocation per accepted
-    // message; the vector recycles its storage, so the reference
-    // scheduler is as steady-state allocation-free as the bucket one
-    // (the alloc test pins both).
-    std::vector<Time> slots_ref;
+    detail::SlotBitmap slots;          // scheduled delivery times
   };
 
   void push(Time t, Phase phase, EventKind kind, ProcId proc) {
@@ -205,9 +189,6 @@ class Machine {
   void do_acquire(EngineProc& p, Time t);
   void resume(EngineProc& p);
   [[nodiscard]] Time choose_delivery_slot(DstState& dst, Time accept_time);
-  [[nodiscard]] bool reference_scheduler() const {
-    return options_.scheduler == SchedulerKind::ReferenceHeap;
-  }
 
   /// Destroys the arena's live EngineProcs (keeps the storage).
   void destroy_procs();
@@ -239,10 +220,6 @@ class Machine {
   // until the Machine dies (destroy_procs() in ~Machine runs first, so
   // every frame is parked back before the arena releases its blocks).
   core::FrameArena frame_arena_;
-  // Scratch for the ReferenceHeap UniformRandom free-slot fallback;
-  // cleared per use, capacity kept (the Bucket path ranks into the slot
-  // bitmap word-at-a-time instead and needs no materialized list).
-  std::vector<Time> free_scratch_;
 };
 
 }  // namespace bsplogp::logp

@@ -30,9 +30,9 @@ struct RunStats : core::RunStatsBase {
   std::int64_t messages_acquired = 0;
 
   /// Engine events processed by the run loop (wall-clock throughput of the
-  /// scheduler is events_processed / elapsed time; see
-  /// bench_engine_throughput). Identical across SchedulerKind for a fixed
-  /// seed — the schedulers replay the same event sequence.
+  /// engine is events_processed / elapsed time; see
+  /// bench_engine_throughput). Fixed by the seed and options, like every
+  /// other field.
   std::int64_t events_processed = 0;
 
   /// Number of submissions whose acceptance was delayed (stalls) and the
@@ -50,8 +50,8 @@ struct RunStats : core::RunStatsBase {
   [[nodiscard]] bool stall_free() const { return stall_events == 0; }
   [[nodiscard]] bool completed() const { return !deadlock && !timed_out; }
 
-  /// Field-wise equality (base included): the scheduler-equivalence guard
-  /// compares entire RunStats across SchedulerKind at fixed seeds.
+  /// Field-wise equality (base included): tests compare entire RunStats,
+  /// e.g. a traced run against an untraced one.
   friend bool operator==(const RunStats&, const RunStats&) = default;
 };
 

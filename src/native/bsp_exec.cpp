@@ -1,13 +1,12 @@
 #include "src/native/bsp_exec.h"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 #include <vector>
 
+#include "src/bsp/machine.h"
 #include "src/core/contracts.h"
 #include "src/native/spmd.h"
-#include "src/trace/event.h"
 
 namespace bsplogp::native {
 
@@ -16,30 +15,19 @@ NativeBspStats run_bsp(
     const NativeBspOptions& options) {
   BSPLOGP_EXPECTS(!programs.empty());
   for (const auto& prog : programs) BSPLOGP_EXPECTS(prog != nullptr);
-  options.params.validate();
-  BSPLOGP_EXPECTS(options.max_supersteps >= 1);
   const auto p = static_cast<ProcId>(programs.size());
   const auto np = static_cast<std::size_t>(p);
 
-  // Shared superstep state. All of it is slot-disjoint (each processor
-  // writes only index [me]) except the reduction results, which only
-  // processor 0 writes; the barrier waves between phases provide the
+  // The pools are slot-disjoint: each processor writes only index [me].
+  // The core's run-wide state and `more` are written by processor 0 alone,
+  // between the two barriers of a superstep, which provide the
   // happens-before in both directions.
   std::vector<std::vector<Message>> inboxes(np);
   std::vector<std::vector<Message>> outboxes(np);
   std::vector<std::vector<Message>> next_inboxes(np);
-  std::vector<Time> works(np, 0);
-  std::vector<char> halted(np, 0);
-  std::vector<std::int64_t> halt_step(np, -1);
-  bool any_continue = false;
-
-  bsp::RunStats stats;
-  stats.proc_finish.assign(np, 0);
-
-  if (options.sink != nullptr)
-    options.sink->run_begin(trace::RunInfo{"native.bsp", p, 0, 0, 0, 0,
-                                           options.params.g,
-                                           options.params.l});
+  bsp::SuperstepCore core("native.bsp", p, options.params,
+                          options.max_supersteps, options.sink);
+  bool more = true;
 
   const auto t0 = std::chrono::steady_clock::now();
   spawn(
@@ -47,28 +35,8 @@ NativeBspStats run_bsp(
       [&](World& w) {
         const ProcId me = w.pid();
         const auto m = static_cast<std::size_t>(me);
-        for (std::int64_t step = 0;; ++step) {
-          if (step >= options.max_supersteps) {
-            if (me == 0) stats.hit_superstep_limit = true;
-            break;
-          }
-          if (me == 0 && options.sink != nullptr)
-            options.sink->emit(
-                trace::Event::superstep_begin(stats.finish_time, step));
-
-          // --- Local computation phase (own slots only).
-          if (halted[m] == 0) {
-            Time work = static_cast<Time>(inboxes[m].size());  // extraction
-            bsp::Ctx ctx(me, p, step, inboxes[m], outboxes[m], work);
-            const bool wants_more = programs[m]->step(ctx);
-            if (!wants_more) {
-              halted[m] = 1;
-              halt_step[m] = step;
-            }
-            works[m] = work;
-          } else {
-            works[m] = 0;  // never re-stepped, contributes no work
-          }
+        do {
+          core.step(me, *programs[m], inboxes[m], outboxes[m]);
           w.barrier();  // every output pool is complete
 
           // --- Communication phase: each processor assembles its own next
@@ -77,59 +45,21 @@ NativeBspStats run_bsp(
           // order.
           std::vector<Message>& next = next_inboxes[m];
           next.clear();
-          for (std::size_t src = 0; src < np; ++src)
-            for (const Message& msg : outboxes[src])
+          for (const auto& outbox : outboxes)
+            for (const Message& msg : outbox)
               if (msg.dst == me) next.push_back(msg);
-
-          // Processor 0 runs the model accounting, reproducing
-          // bsp::Machine::run's arithmetic on the same inputs.
-          if (me == 0) {
-            bsp::SuperstepCost cost;
-            for (const Time wk : works) cost.w = std::max(cost.w, wk);
-            Time sent_max = 0;
-            std::vector<Time> received(np, 0);
-            for (const auto& outbox : outboxes) {
-              sent_max = std::max(sent_max, static_cast<Time>(outbox.size()));
-              for (const Message& msg : outbox)
-                received[static_cast<std::size_t>(msg.dst)] += 1;
-            }
-            Time recv_max = 0;
-            for (const Time r : received) recv_max = std::max(recv_max, r);
-            cost.h = std::max(sent_max, recv_max);
-            for (const auto& outbox : outboxes)
-              stats.messages += static_cast<std::int64_t>(outbox.size());
-
-            const Time before = stats.finish_time;
-            stats.finish_time += cost.total(options.params);
-            stats.supersteps += 1;
-            stats.trace.push_back(cost);
-            for (std::size_t i = 0; i < np; ++i)
-              if (halt_step[i] == step)
-                stats.proc_finish[i] = stats.finish_time;
-            any_continue = false;
-            for (const char h : halted)
-              if (h == 0) any_continue = true;
-            if (options.sink != nullptr)
-              options.sink->emit(trace::Event::superstep_end(
-                  stats.finish_time, before, cost.w, cost.h, step));
-          }
-          w.barrier();  // pools assembled, accounting published
+          if (me == 0) more = core.close(outboxes);
+          w.barrier();  // pools assembled, superstep priced
 
           outboxes[m].clear();
-          std::swap(inboxes[m], next_inboxes[m]);
-          if (!any_continue) break;  // same value on every processor
-        }
+          std::swap(inboxes[m], next);
+        } while (more);  // same value on every processor
       },
       options.pool);
   const auto t1 = std::chrono::steady_clock::now();
 
-  for (ProcId i = 0; i < p; ++i)
-    if (halted[static_cast<std::size_t>(i)] == 0)
-      stats.blocked_procs.push_back(i);
-  if (options.sink != nullptr) options.sink->run_end(stats.finish_time);
-
   NativeBspStats out;
-  out.model = std::move(stats);
+  out.model = core.finish();
   out.wall_ns = std::chrono::duration<double, std::nano>(t1 - t0).count();
   return out;
 }

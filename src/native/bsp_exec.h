@@ -3,22 +3,17 @@
 // (Theorem 2) runs here with one real thread per processor and a real
 // barrier per superstep.
 //
-// The executor is the parallel twin of bsp::Machine::run, phase for phase:
-// compute (each thread steps its own program against its own input pool),
-// barrier, exchange (each thread assembles its next input pool by scanning
-// the output pools in sender-id order — exactly InboxOrder::SourceOrder),
-// barrier, swap. Halted processors are never stepped again but keep
-// receiving (the model delivers regardless), and the run ends in the
-// superstep where the last processor halts, as in the Machine.
-//
-// Because the phases are identical and the model parameters (g, l) never
-// steer a BSP execution (they only price it — see bsp/params.h), the model
-// accounting here is not merely close to the simulator's, it is EQUAL:
-// NativeBspStats::model must match bsp::Machine::run's RunStats field for
-// field — finish_time, supersteps, messages, per-superstep (w_s, h_s),
-// proc_finish, everything. The differential suite asserts exactly that,
-// which pins the native executor and the simulator to each other; the
-// only thing native execution adds is a wall clock.
+// Stepping and pricing are not re-derived here: every thread steps its own
+// program through the bsp::SuperstepCore that bsp::Machine::run uses, and
+// processor 0 closes each superstep through it. What this executor adds is
+// the threads, the barriers, the exchange (each thread assembles its next
+// input pool by scanning the output pools in sender-id order — exactly
+// InboxOrder::SourceOrder) and a wall clock. So NativeBspStats::model
+// equals bsp::Machine::run's RunStats by construction, and the
+// differential suite (tests/native) checks what remains native: that the
+// threaded exchange delivers the same inbox to every processor in every
+// superstep, and that halting and the superstep limit end the run in the
+// same superstep as on the machine.
 #pragma once
 
 #include <cstdint>
@@ -37,9 +32,10 @@ struct NativeBspOptions {
   /// Thread pool to run on (needs >= p - 1 workers); null spawns a
   /// transient pool.
   core::ThreadPool* pool = nullptr;
-  /// Observer for SuperstepBegin/End events. Only processor 0's thread
-  /// emits, and run_begin/run_end bracket the spawn, so calls are totally
-  /// ordered: an ordinary (non-thread-safe) sink is fine here. Not owned.
+  /// Observer for SuperstepBegin/End events. Superstep 0 opens before the
+  /// spawn, only processor 0's thread emits after that, and run_end
+  /// follows the join, so calls are totally ordered: an ordinary
+  /// (non-thread-safe) sink is fine here. Not owned.
   trace::TraceSink* sink = nullptr;
   /// Cost-model parameters for the accounting (identical role to
   /// bsp::Machine's).
@@ -48,8 +44,8 @@ struct NativeBspOptions {
 };
 
 struct NativeBspStats {
-  /// The full model accounting, field-for-field equal to what
-  /// bsp::Machine::run(programs) returns for the same programs and params.
+  /// The model accounting, priced by the bsp::SuperstepCore that
+  /// bsp::Machine::run uses.
   bsp::RunStats model;
   /// Real elapsed time of the run.
   double wall_ns = 0;

@@ -12,8 +12,7 @@
 //     reset in run_begin.
 //   * Sinks must not mutate the machine. Emission never influences the
 //     execution: traced and untraced runs of the same seed are step-for-
-//     step identical (the scheduler-equivalence guarantee extends to
-//     traced runs).
+//     step identical.
 //   * Events arrive in simulation-discovery order; per processor and
 //     kind, timestamps are non-decreasing. Sinks needing a global
 //     time-sorted view sort by Event::t.
@@ -31,8 +30,9 @@ namespace bsplogp::trace {
 /// Static facts about the run being observed, supplied to run_begin.
 /// Model parameters that do not apply are zero (e.g. L/o/G for a BSP run).
 struct RunInfo {
-  /// Which machine is emitting: "logp", "bsp", "xsim.bsp_on_logp",
-  /// "xsim.logp_on_bsp".
+  /// Which machine is emitting: "logp", "bsp", "native.logp" or
+  /// "native.bsp". The cross-simulators emit under the name of the host
+  /// machine they run on.
   std::string machine;
   ProcId nprocs = 0;
   /// LogP parameters (0 when not a LogP run).

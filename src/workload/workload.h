@@ -91,7 +91,7 @@ namespace bsplogp::workload {
 /// [0, max_jump] burst before each send, then receives its exact expected
 /// count (the traffic matrix is drawn up front from `seed`, so the program
 /// is deterministic and deadlock-free). Large max_jump pushes events past
-/// the calendar queue's wheel horizon — the scheduler-equivalence stress.
+/// the calendar queue's wheel horizon, through its overflow buffer.
 [[nodiscard]] std::vector<logp::ProgramFn> random_traffic(
     ProcId p, int msgs_per_proc, Time max_jump, std::uint64_t seed,
     std::vector<Word>* sums = nullptr);

@@ -647,13 +647,13 @@ Task<> simulate_proc(Proc& pr, bsp::ProcProgram& prog, Shared& sh) {
 }  // namespace
 
 Time BspOnLogpReport::bsp_reference_time(const bsp::Params& prm) const {
+  // Each superstep is charged h = max(r, s), the cycles the protocol
+  // routed. s is the exact receive degree, but r is the send degree the
+  // sort ran with, which Columnsort pads up to 2(p-1)^2, so the charge can
+  // exceed the cost of the true h-relation.
   Time total = 0;
-  for (const auto& st : steps) {
-    // The reference BSP machine routes the true h-relation: degree at most
-    // max(r, s) (our r may include padding; use the exact s and the real
-    // message count bound). h here is the cycles value max(r, s).
-    total += st.w_max + prm.g * st.h + prm.l;
-  }
+  for (const auto& st : steps)
+    total += bsp::SuperstepCost{st.w_max, st.h}.total(prm);
   return total;
 }
 

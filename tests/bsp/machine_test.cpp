@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 namespace bsplogp::bsp {
@@ -129,6 +130,19 @@ TEST(BspMachine, StaggeredHaltsStepEachProcessorExactlyUntilItsHalt) {
   EXPECT_EQ(steps[1], 3);
   EXPECT_EQ(steps[2], 5);
   EXPECT_EQ(st.messages, 1 + 3 + 5);
+  // Priced in absolute terms (g = l = 1): w is one send plus the messages
+  // extracted, h = 1 throughout, and each processor finishes at the
+  // closing barrier of the superstep in which it halts.
+  const std::vector<std::pair<Time, Time>> want = {
+      {1, 1}, {2, 1}, {2, 1}, {2, 1}, {1, 1}};
+  ASSERT_EQ(st.trace.size(), want.size());
+  for (std::size_t s = 0; s < want.size(); ++s) {
+    EXPECT_EQ(st.trace[s].w, want[s].first) << "superstep " << s;
+    EXPECT_EQ(st.trace[s].h, want[s].second) << "superstep " << s;
+  }
+  EXPECT_EQ(st.proc_finish, (std::vector<Time>{3, 11, 18}));
+  EXPECT_EQ(st.finish_time, 18);
+  EXPECT_TRUE(st.blocked_procs.empty());
 }
 
 TEST(BspMachine, SuperstepLimitStopsRunawayPrograms) {
@@ -139,6 +153,10 @@ TEST(BspMachine, SuperstepLimitStopsRunawayPrograms) {
   const RunStats st = m.run(progs);
   EXPECT_TRUE(st.hit_superstep_limit);
   EXPECT_EQ(st.supersteps, 10);
+  // Ten empty supersteps pay only the barrier; nobody finished.
+  EXPECT_EQ(st.finish_time, 10);
+  EXPECT_EQ(st.blocked_procs, (std::vector<ProcId>{0, 1}));
+  EXPECT_EQ(st.proc_finish, (std::vector<Time>{0, 0}));
 }
 
 TEST(BspMachine, SourceOrderInboxIsSortedBySender) {

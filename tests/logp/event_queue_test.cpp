@@ -3,11 +3,14 @@
 // overflow spill past the wheel horizon, migration ordering against direct
 // wheel pushes, the wheel-empty jump to the overflow minimum time, the
 // payload pool's slot recycling, and the never-into-the-past contract.
-// Throughout, the HeapQueue reference is the ordering oracle: both
-// implementations must pop any pushed stream in the identical order.
+// Throughout, HeapQueue below is the ordering oracle: the textbook binary
+// heap over (time, phase, push sequence) must pop any pushed stream in the
+// same order as the calendar queue.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "src/core/rng.h"
@@ -21,6 +24,39 @@ namespace {
 // wheel resize breaks this test loudly instead of silently weakening it.
 constexpr Time kHorizon = 1024;
 
+/// The ordering oracle: a binary heap keyed by (t, phase, push sequence),
+/// on payload-free events.
+class HeapQueue {
+ public:
+  void push(Time t, Phase phase, EventKind kind, ProcId proc) {
+    heap_.push_back(Entry{t, phase, next_seq_++, proc, kind});
+    std::push_heap(heap_.begin(), heap_.end(), later);
+  }
+
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+
+  Event pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const Entry e = heap_.back();
+    heap_.pop_back();
+    return Event{e.t, e.proc, kNoPayload, e.kind};
+  }
+
+ private:
+  struct Entry {
+    Time t;
+    Phase phase;
+    std::int64_t seq;  // FIFO tie-break
+    ProcId proc;
+    EventKind kind;
+  };
+  static bool later(const Entry& a, const Entry& b) {
+    return std::tie(a.t, a.phase, a.seq) > std::tie(b.t, b.phase, b.seq);
+  }
+  std::vector<Entry> heap_;
+  std::int64_t next_seq_ = 0;
+};
+
 struct Popped {
   Time t;
   ProcId proc;
@@ -28,35 +64,36 @@ struct Popped {
   bool operator==(const Popped&) const = default;
 };
 
-std::vector<Popped> drain(EventQueue& q) {
+template <class Queue>
+std::vector<Popped> drain(Queue& q) {
   std::vector<Popped> out;
   while (!q.empty()) {
     const Event ev = q.pop();
     out.push_back(Popped{ev.t, ev.proc, ev.kind});
-    if (ev.payload != kNoPayload) q.release(ev.payload);
   }
   return out;
 }
 
 TEST(EventQueue, PopsTimePhaseFifoOrder) {
-  for (const bool bucket : {true, false}) {
-    EventQueue q;
-    q.reset(bucket);
-    // Same step, pushed in reverse phase order; plus a later step pushed
-    // first. Pop must yield time-major, phase-minor, FIFO within a lane.
+  // Same step, pushed in reverse phase order; plus a later step pushed
+  // first. Pop must yield time-major, phase-minor, FIFO within a lane.
+  const auto run = [](auto& q) {
     q.push(7, Phase::Processor, EventKind::Resume, 3);
     q.push(2, Phase::Accept, EventKind::Accept, 0);
     q.push(2, Phase::Processor, EventKind::Submit, 1);
     q.push(2, Phase::Processor, EventKind::Submit, 2);
     q.push(2, Phase::Delivery, EventKind::Delivery, 4);
-    const std::vector<Popped> got = drain(q);
-    const std::vector<Popped> want = {
-        {2, 4, EventKind::Delivery}, {2, 1, EventKind::Submit},
-        {2, 2, EventKind::Submit},   {2, 0, EventKind::Accept},
-        {7, 3, EventKind::Resume},
-    };
-    EXPECT_EQ(got, want) << (bucket ? "bucket" : "heap");
-  }
+    return drain(q);
+  };
+  const std::vector<Popped> want = {
+      {2, 4, EventKind::Delivery}, {2, 1, EventKind::Submit},
+      {2, 2, EventKind::Submit},   {2, 0, EventKind::Accept},
+      {7, 3, EventKind::Resume},
+  };
+  EventQueue bucket;
+  HeapQueue heap;
+  EXPECT_EQ(run(bucket), want);
+  EXPECT_EQ(run(heap), want);
 }
 
 TEST(EventQueue, OverflowSpillMigratesInOrder) {
@@ -71,12 +108,10 @@ TEST(EventQueue, OverflowSpillMigratesInOrder) {
   // Migration must already have run at the scanned-to cursor (not just at
   // the pre-scan one), or the direct push would order ahead of the
   // earlier-pushed overflow entries and diverge from the heap.
-  for (const bool bucket : {true, false}) {
-    EventQueue q;
-    q.reset(bucket);
+  constexpr Time far = kHorizon + 500;  // beyond the horizon from t = 0
+  const auto run = [](auto& q) {
     q.push(0, Phase::Processor, EventKind::Start, 0);
     q.push(600, Phase::Processor, EventKind::Resume, 9);
-    const Time far = kHorizon + 500;  // beyond the horizon from t = 0
     q.push(far, Phase::Processor, EventKind::Resume, 1);
     q.push(far + 1, Phase::Processor, EventKind::Resume, 2);
     q.push(far, Phase::Processor, EventKind::Resume, 3);
@@ -86,20 +121,22 @@ TEST(EventQueue, OverflowSpillMigratesInOrder) {
     // Direct wheel push at the same step must queue behind the migrated
     // entries.
     q.push(far, Phase::Processor, EventKind::Resume, 4);
-    const std::vector<Popped> got = drain(q);
-    const std::vector<Popped> want = {
-        {far, 1, EventKind::Resume},
-        {far, 3, EventKind::Resume},
-        {far, 4, EventKind::Resume},
-        {far + 1, 2, EventKind::Resume},
-    };
-    EXPECT_EQ(got, want) << (bucket ? "bucket" : "heap");
-  }
+    return drain(q);
+  };
+  const std::vector<Popped> want = {
+      {far, 1, EventKind::Resume},
+      {far, 3, EventKind::Resume},
+      {far, 4, EventKind::Resume},
+      {far + 1, 2, EventKind::Resume},
+  };
+  EventQueue bucket;
+  HeapQueue heap;
+  EXPECT_EQ(run(bucket), want);
+  EXPECT_EQ(run(heap), want);
 }
 
 TEST(EventQueue, EmptyWheelJumpsToOverflowMinTime) {
   EventQueue q;
-  q.reset(true);
   q.push(0, Phase::Processor, EventKind::Start, 0);
   // Two overflow generations: one just past the horizon, one far past it.
   q.push(kHorizon + 7, Phase::Accept, EventKind::Accept, 1);
@@ -118,7 +155,6 @@ TEST(EventQueue, EmptyWheelJumpsToOverflowMinTime) {
 
 TEST(EventQueue, PayloadPoolRoundTripAndRecycling) {
   EventQueue q;
-  q.reset(true);
   const Message a{0, 1, 42, 7, 9, 2};
   const Message b{3, 1, 43, 8, 10, 1};
   q.push_msg(1, Phase::Delivery, EventKind::Delivery, 1, a);
@@ -148,13 +184,11 @@ TEST(EventQueue, PayloadPoolRoundTripAndRecycling) {
 
 TEST(EventQueue, BucketMatchesHeapOnRandomStreams) {
   // Randomized differential: any interleaving of pushes and pops (with
-  // pushes never into the past) yields the same pop order on both
-  // schedulers. Seeds cover wraps of the wheel and overflow spills.
+  // pushes never into the past) yields the same pop order on the calendar
+  // queue and the heap. Seeds cover wraps of the wheel and overflow spills.
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     EventQueue bucket;
-    EventQueue heap;
-    bucket.reset(true);
-    heap.reset(false);
+    HeapQueue heap;
     core::Rng rng(seed);
     Time now = 0;
     std::vector<Popped> got_bucket;
@@ -192,7 +226,6 @@ TEST(EventQueue, BucketMatchesHeapOnRandomStreams) {
 
 TEST(EventQueueDeathTest, PushIntoThePastAborts) {
   EventQueue q;
-  q.reset(true);
   q.push(50, Phase::Processor, EventKind::Resume, 0);
   (void)q.pop();  // cursor is now at t = 50
   EXPECT_DEATH(q.push(10, Phase::Processor, EventKind::Resume, 1),

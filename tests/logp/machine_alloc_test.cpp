@@ -49,25 +49,19 @@ TEST(MachineAlloc, HotspotSteadyStateIsAllocationFree) {
   EXPECT_EQ(steady_state_allocs(m, progs, 2), 0);
 }
 
-TEST(MachineAlloc, SteadyStateFreeOnBothSchedulersAndPolicies) {
+TEST(MachineAlloc, SteadyStateFreeUnderRandomPolicies) {
   if (!core::AllocCounter::installed())
     GTEST_SKIP() << "alloc hooks not linked into this binary";
 
-  // The property is not special to the calendar queue or to the default
-  // policies: the reference heap reuses its backing vector, and the Random
+  // The property is not special to the default policies: the Random
   // policies draw from the machine's own Rng without allocating.
-  for (const auto scheduler : {logp::SchedulerKind::Bucket,
-                               logp::SchedulerKind::ReferenceHeap}) {
-    logp::Machine::Options opt;
-    opt.scheduler = scheduler;
-    opt.accept_order = logp::AcceptOrder::Random;
-    opt.delivery = logp::DeliverySchedule::UniformRandom;
-    opt.seed = 7;
-    logp::Machine m(256, logp::Params{64, 1, 2}, opt);
-    const auto progs = workload::hotspot(256, 4);
-    EXPECT_EQ(steady_state_allocs(m, progs, 2), 0)
-        << (scheduler == logp::SchedulerKind::Bucket ? "bucket" : "heap");
-  }
+  logp::Machine::Options opt;
+  opt.accept_order = logp::AcceptOrder::Random;
+  opt.delivery = logp::DeliverySchedule::UniformRandom;
+  opt.seed = 7;
+  logp::Machine m(256, logp::Params{64, 1, 2}, opt);
+  const auto progs = workload::hotspot(256, 4);
+  EXPECT_EQ(steady_state_allocs(m, progs, 2), 0);
 }
 
 TEST(MachineAlloc, FirstRunAllocationsAreBounded) {

@@ -1,9 +1,8 @@
 // SlotBitmap rank/select: count_free and nth_free are the word-at-a-time
-// core of the UniformRandom delivery schedule on the Bucket scheduler — a
-// draw below count_free(lo, hi) selects nth_free(lo, hi, k), and both must
-// agree exactly with a naive per-slot scan (the ReferenceHeap fallback
-// materializes precisely that list, and scheduler equivalence demands the
-// same k map to the same slot).
+// core of the UniformRandom delivery schedule — a draw below
+// count_free(lo, hi) selects nth_free(lo, hi, k), and both must agree
+// exactly with a naive per-slot scan, the oracle that materializes the
+// list of free slots and takes its k-th entry.
 #include <gtest/gtest.h>
 
 #include <vector>

@@ -7,9 +7,11 @@
 // vector; the two machine-level executors must also agree on message
 // counts. BSP families run two ways — native::run_bsp and bsp::Machine —
 // and must agree on EVERYTHING: the per-processor per-superstep inbox logs
-// (workload::logged) and the entire model accounting, because BSP
-// parameters price an execution without steering it, so the native
-// executor's model stats are defined to equal the simulator's.
+// (workload::logged), which check native's threaded exchange, and the
+// entire model accounting and event stream, which check that halting and
+// the superstep limit end both runs alike. Both executors price through
+// one bsp::SuperstepCore, so a pricing bug would hit both alike; the
+// absolute pins in tests/bsp/machine_test.cpp guard the pricing itself.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -133,6 +135,7 @@ TEST(NativeDifferential, HotspotMatchesInBothVariants) {
 struct BspOutcome {
   workload::InboxLog log;
   bsp::RunStats model;
+  trace::RunInfo info;
   std::vector<trace::Event> events;
   Time trace_finish = 0;
 };
@@ -149,6 +152,7 @@ BspOutcome run_native_bsp(const workload::Entry& entry,
   options.params = kBspParams;
   options.max_supersteps = max_supersteps;
   out.model = native::run_bsp(programs, options).model;
+  out.info = sink.info();
   out.events = sink.events();
   out.trace_finish = sink.finish();
   return out;
@@ -165,6 +169,7 @@ BspOutcome run_sim_bsp(const workload::Entry& entry,
   options.max_supersteps = max_supersteps;
   bsp::Machine machine(spec.p, kBspParams, options);
   out.model = machine.run(programs);
+  out.info = sink.info();
   out.events = sink.events();
   out.trace_finish = sink.finish();
   return out;
@@ -185,9 +190,17 @@ void expect_bsp_equal(const BspOutcome& native, const BspOutcome& sim) {
     EXPECT_EQ(native.model.trace[s].w, sim.model.trace[s].w) << "superstep " << s;
     EXPECT_EQ(native.model.trace[s].h, sim.model.trace[s].h) << "superstep " << s;
   }
-  // Even the event stream is identical: one emitter, same order.
+  // Even the event stream is identical: one emitter, same order, each
+  // under its own executor's name and the run's parameters.
   EXPECT_EQ(native.events, sim.events);
   EXPECT_EQ(native.trace_finish, sim.trace_finish);
+  EXPECT_EQ(native.info.machine, "native.bsp");
+  EXPECT_EQ(sim.info.machine, "bsp");
+  EXPECT_EQ(native.info.nprocs, sim.info.nprocs);
+  for (const trace::RunInfo* info : {&native.info, &sim.info}) {
+    EXPECT_EQ(info->g, kBspParams.g);
+    EXPECT_EQ(info->l, kBspParams.l);
+  }
 }
 
 TEST(NativeDifferential, EveryBspFamilyMatchesTheMachineExactly) {

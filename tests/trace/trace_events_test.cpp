@@ -1,7 +1,7 @@
 // The trace subsystem against the machines that feed it: event streams
 // must narrate exactly what the engines did (counts match RunStats, spans
-// match the stall accounting), must be identical across scheduler cores,
-// and must never perturb the execution they observe.
+// match the stall accounting) and must never perturb the execution they
+// observe.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -24,10 +24,8 @@ namespace {
 // stalls, deliveries, acquisitions, gap waits, queue samples).
 
 logp::RunStats run_logp(const std::vector<logp::ProgramFn>& progs, ProcId p,
-                        const logp::Params& prm, TraceSink* sink,
-                        logp::SchedulerKind sched = logp::SchedulerKind::Bucket) {
+                        const logp::Params& prm, TraceSink* sink) {
   logp::Machine::Options o;
-  o.scheduler = sched;
   o.sink = sink;
   logp::Machine m(p, prm, o);
   return m.run(std::span<const logp::ProgramFn>(progs));
@@ -90,19 +88,6 @@ TEST(TraceEvents, PerProcessorTimestampsNonDecreasingPerKind) {
                          << e.proc;
     prev = e.t;
   }
-}
-
-TEST(TraceEvents, StreamsIdenticalAcrossSchedulerKinds) {
-  const ProcId p = 12;
-  const logp::Params prm{12, 1, 3};
-  const auto progs = workload::hotspot(p, 2);
-  RecordingSink bucket, heap;
-  run_logp(progs, p, prm, &bucket, logp::SchedulerKind::Bucket);
-  run_logp(progs, p, prm, &heap, logp::SchedulerKind::ReferenceHeap);
-  // The determinism guard extends to the trace: both cores narrate the
-  // exact same event sequence, element for element.
-  EXPECT_EQ(bucket.events().size(), heap.events().size());
-  EXPECT_TRUE(bucket.events() == heap.events());
 }
 
 TEST(TraceEvents, TracingNeverPerturbsTheRun) {
