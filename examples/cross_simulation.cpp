@@ -8,6 +8,8 @@
 //   BSP machine and then, unmodified, on the LogP machine through the
 //   CB-synchronize / sort / clocked-cycles protocol; the report shows the
 //   per-superstep (r, s, h) and certifies the run was stall-free.
+//
+// Exits 1 if any simulated run's results differ from the native run's.
 #include <iostream>
 
 #include "src/algo/bsp_algorithms.h"
@@ -22,12 +24,14 @@ using namespace bsplogp;
 
 namespace {
 
-void theorem1() {
+/// Returns whether every simulated run's results matched the native run.
+bool theorem1() {
   const ProcId p = 16;
   const logp::Params logp_params{16, 1, 4};
   std::cout << "== Theorem 1: stall-free LogP on BSP ==\n"
             << "workload: all-to-all exchange, p=" << p << ", L=16 o=1 G=4\n";
 
+  bool all_match = true;
   std::vector<Word> native;
   logp::Machine machine(p, logp_params);
   const auto native_stats = machine.run(workload::all_to_all(p, &native));
@@ -42,6 +46,7 @@ void theorem1() {
                             l_ratio * logp_params.L};
       xsim::LogpOnBsp sim(p, logp_params, opt);
       const auto rep = sim.run(workload::all_to_all(p, &sims));
+      all_match = all_match && sims == native;
       std::cout << "BSP host g=" << opt.bsp.g << " l=" << opt.bsp.l
                 << ": results match=" << (sims == native ? "yes" : "NO")
                 << "  capacity-ok=" << (rep.capacity_ok ? "yes" : "NO")
@@ -52,9 +57,11 @@ void theorem1() {
     }
   }
   std::cout << "\n";
+  return all_match;
 }
 
-void theorem2() {
+/// Returns whether the simulated run's results matched the native run.
+bool theorem2() {
   const ProcId p = 8;
   const std::size_t block = 16;
   const logp::Params logp_params{16, 1, 4};
@@ -89,12 +96,13 @@ void theorem2() {
   for (const auto& st : rep.steps)
     std::cout << " (" << st.r << "," << st.s << "," << st.h << ")";
   std::cout << "\n";
+  return sim_out == native_out;
 }
 
 }  // namespace
 
 int main() {
-  theorem1();
-  theorem2();
-  return 0;
+  const bool thm1_match = theorem1();
+  const bool thm2_match = theorem2();
+  return thm1_match && thm2_match ? 0 : 1;
 }

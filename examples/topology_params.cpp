@@ -5,8 +5,10 @@
 //
 // Usage: topology_params [kind] [p]
 //   kind in {ring, mesh2d, mesh3d, hypercube-multi, hypercube-single,
-//            butterfly, ccc, shuffle-exchange, mesh-of-trees}; default
-//            mesh2d 64.
+//            butterfly, ccc, shuffle-exchange, mesh-of-trees}; p an
+//            integer 2..4096; default mesh2d 64. Any other input prints
+//            the usage to stderr and exits 2.
+#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -18,24 +20,45 @@ using namespace bsplogp;
 
 namespace {
 
+constexpr net::TopologyKind kKinds[] = {
+    net::TopologyKind::Ring,           net::TopologyKind::Mesh2D,
+    net::TopologyKind::Mesh3D,         net::TopologyKind::HypercubeMulti,
+    net::TopologyKind::HypercubeSingle, net::TopologyKind::Butterfly,
+    net::TopologyKind::CubeConnectedCycles,
+    net::TopologyKind::ShuffleExchange, net::TopologyKind::MeshOfTrees};
+
+[[noreturn]] void usage_and_exit(const std::string& complaint) {
+  std::cerr << "topology_params: " << complaint << "\n"
+            << "usage: topology_params [kind] [p]\n"
+            << "  kind  one of";
+  for (const auto kind : kKinds) std::cerr << ' ' << net::to_string(kind);
+  std::cerr << " (default mesh2d)\n"
+            << "  p     processor count, an integer 2..4096 (default 64)\n";
+  std::exit(2);
+}
+
 net::TopologyKind parse_kind(const std::string& name) {
-  using net::TopologyKind;
-  for (const auto kind :
-       {TopologyKind::Ring, TopologyKind::Mesh2D, TopologyKind::Mesh3D,
-        TopologyKind::HypercubeMulti, TopologyKind::HypercubeSingle,
-        TopologyKind::Butterfly, TopologyKind::CubeConnectedCycles,
-        TopologyKind::ShuffleExchange, TopologyKind::MeshOfTrees})
+  for (const auto kind : kKinds)
     if (net::to_string(kind) == name) return kind;
-  std::cerr << "unknown topology '" << name << "', using mesh2d\n";
-  return TopologyKind::Mesh2D;
+  usage_and_exit("unknown topology '" + name + "'");
+}
+
+ProcId parse_procs(const char* text) {
+  char* end = nullptr;
+  const long v = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || v < 2 || v > 4096)
+    usage_and_exit(std::string("bad processor count '") + text +
+                   "' (want an integer 2..4096)");
+  return static_cast<ProcId>(v);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc > 3) usage_and_exit("too many arguments");
   const net::TopologyKind kind =
       argc > 1 ? parse_kind(argv[1]) : net::TopologyKind::Mesh2D;
-  const ProcId p = argc > 2 ? static_cast<ProcId>(std::stoi(argv[2])) : 64;
+  const ProcId p = argc > 2 ? parse_procs(argv[2]) : 64;
 
   const net::Topology topo = net::make_topology(kind, p);
   std::cout << "topology " << net::to_string(kind) << ": " << topo.nprocs()

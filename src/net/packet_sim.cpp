@@ -1,7 +1,8 @@
 #include "src/net/packet_sim.h"
 
 #include <algorithm>
-#include <deque>
+#include <bit>
+#include <limits>
 #include <utility>
 
 #include "src/core/contracts.h"
@@ -10,11 +11,21 @@ namespace bsplogp::net {
 
 namespace {
 
+/// A packet in flight; packet i of a route() call carries message i.
 struct Packet {
   ProcId final_dst = 0;     // processor index
   ProcId via = -1;          // Valiant intermediate (-1: none/already passed)
   std::uint64_t salt = 0;   // tie-break diversifier
-  std::int64_t hops = 0;
+  std::int32_t next = -1;   // the packet behind this one in its link FIFO
+};
+
+/// One link's FIFO: an intrusive list through Packet::next. `len` marks
+/// an empty queue (head and tail are then stale) and feeds
+/// Result::max_queue.
+struct Fifo {
+  std::int32_t head = -1;
+  std::int32_t tail = -1;
+  std::int32_t len = 0;
 };
 
 /// Current routing target (processor index) of a packet.
@@ -29,33 +40,51 @@ PacketSim::PacketSim(Topology topology) : topo_(std::move(topology)) {
   dist_.reserve(static_cast<std::size_t>(topo_.nprocs()));
   for (const NodeId node : topo_.processors())
     dist_.push_back(topo_.distances_from(node));
+  std::size_t nlinks = 0;
+  for (NodeId v = 0; v < topo_.size(); ++v)
+    nlinks += topo_.neighbors(v).size();
+  BSPLOGP_EXPECTS(
+      std::cmp_less_equal(nlinks, std::numeric_limits<std::int32_t>::max()));
+  link_base_.reserve(static_cast<std::size_t>(topo_.size()) + 1);
+  link_from_.reserve(nlinks);
+  link_to_.reserve(nlinks);
+  link_base_.push_back(0);
+  for (NodeId v = 0; v < topo_.size(); ++v) {
+    const auto& nb = topo_.neighbors(v);
+    link_from_.insert(link_from_.end(), nb.size(), v);
+    link_to_.insert(link_to_.end(), nb.begin(), nb.end());
+    link_base_.push_back(static_cast<std::int32_t>(link_to_.size()));
+  }
 }
 
-NodeId PacketSim::next_hop(NodeId at, ProcId dst_proc,
-                           std::uint64_t salt) const {
+std::size_t PacketSim::next_link(NodeId at, ProcId dst_proc,
+                                 std::uint64_t salt) const {
   const auto& dist = dist_[static_cast<std::size_t>(dst_proc)];
   const NodeId here = dist[static_cast<std::size_t>(at)];
   BSPLOGP_ASSERT(here > 0);
-  // All shortest-path neighbors are admissible; pick one by a salted hash
-  // so different packets spread across the equivalent links.
-  const auto& nb = topo_.neighbors(at);
-  std::int64_t candidates = 0;
-  for (const NodeId u : nb)
-    candidates += (dist[static_cast<std::size_t>(u)] == here - 1);
+  // All shortest-path links are admissible; pick one by a salted hash so
+  // different packets spread across the equivalent links. A lone
+  // candidate skips the hash, which would pick it anyway (x % 1 == 0).
+  const auto begin =
+      static_cast<std::size_t>(link_base_[static_cast<std::size_t>(at)]);
+  const auto end =
+      static_cast<std::size_t>(link_base_[static_cast<std::size_t>(at) + 1]);
+  auto on_path = [&](std::size_t l) {
+    return dist[static_cast<std::size_t>(link_to_[l])] == here - 1;
+  };
+  std::size_t first = end;
+  std::uint64_t candidates = 0;
+  for (std::size_t l = begin; l < end; ++l)
+    if (on_path(l) && candidates++ == 0) first = l;
   BSPLOGP_ASSERT(candidates > 0);
+  if (candidates == 1) return first;
   std::uint64_t mix = salt ^ (static_cast<std::uint64_t>(at) << 32) ^
                       static_cast<std::uint64_t>(dst_proc);
-  const auto pick = static_cast<std::int64_t>(
-      core::splitmix64(mix) % static_cast<std::uint64_t>(candidates));
-  std::int64_t seen = 0;
-  for (const NodeId u : nb) {
-    if (dist[static_cast<std::size_t>(u)] == here - 1) {
-      if (seen == pick) return u;
-      ++seen;
-    }
-  }
+  std::uint64_t pick = core::splitmix64(mix) % candidates;
+  for (std::size_t l = first; l < end; ++l)
+    if (on_path(l) && pick-- == 0) return l;
   BSPLOGP_ASSERT(false);
-  return nb.front();
+  return first;
 }
 
 PacketSim::Result PacketSim::route(const routing::HRelation& rel,
@@ -65,60 +94,84 @@ PacketSim::Result PacketSim::route(const routing::HRelation& rel,
   Result result;
   result.packets = static_cast<std::int64_t>(rel.size());
   if (rel.size() == 0) return result;
+  BSPLOGP_EXPECTS(std::cmp_less_equal(
+      rel.size(), std::numeric_limits<std::int32_t>::max()));
 
-  const auto n = static_cast<std::size_t>(topo_.size());
-  // out[v][k]: FIFO queue of packets waiting to cross the k-th link of v.
-  std::vector<std::vector<std::deque<Packet>>> out(n);
-  for (std::size_t v = 0; v < n; ++v)
-    out[v].resize(topo_.neighbors(static_cast<NodeId>(v)).size());
-
+  const std::size_t nlinks = link_to_.size();
+  std::vector<Packet> pk(rel.size());
+  std::vector<Fifo> fifo(nlinks);
+  // Bit l is set iff link l's FIFO is nonempty.
+  std::vector<std::uint64_t> active((nlinks + 63) / 64, 0);
   std::int64_t in_flight = 0;
 
-  // Enqueues pk at node v (delivering it if v is its final node).
-  auto place = [&](NodeId v, Packet pk) {
+  auto push = [&](std::size_t l, std::int32_t i) {
+    Fifo& q = fifo[l];
+    if (q.len++ == 0) {
+      q.head = i;
+      active[l / 64] |= std::uint64_t{1} << (l % 64);
+    } else {
+      pk[static_cast<std::size_t>(q.tail)].next = i;
+    }
+    q.tail = i;
+    result.max_queue = std::max<std::int64_t>(result.max_queue, q.len);
+  };
+  auto pop = [&](std::size_t l) {
+    Fifo& q = fifo[l];
+    const std::int32_t i = q.head;
+    q.head = pk[static_cast<std::size_t>(i)].next;
+    if (--q.len == 0) active[l / 64] &= ~(std::uint64_t{1} << (l % 64));
+    return i;
+  };
+  // The first link >= l whose FIFO is nonempty, or nlinks.
+  auto next_active = [&](std::size_t l) {
+    std::size_t w = l / 64;
+    if (w >= active.size()) return nlinks;
+    std::uint64_t bits = active[w] & (~std::uint64_t{0} << (l % 64));
+    while (bits == 0) {
+      if (++w == active.size()) return nlinks;
+      bits = active[w];
+    }
+    return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+  };
+
+  // Enqueues packet i at node v (delivering it if v is its final node).
+  auto place = [&](NodeId v, std::int32_t i) {
+    Packet& p = pk[static_cast<std::size_t>(i)];
     for (;;) {
-      const ProcId tgt = target_of(pk);
-      const NodeId tgt_node =
-          topo_.processors()[static_cast<std::size_t>(tgt)];
-      if (v == tgt_node) {
-        if (pk.via >= 0) {
-          pk.via = -1;  // phase 2 of Valiant: continue to the real target
+      const ProcId tgt = target_of(p);
+      if (v == topo_.processors()[static_cast<std::size_t>(tgt)]) {
+        if (p.via >= 0) {
+          p.via = -1;  // phase 2 of Valiant: continue to the real target
           continue;
         }
         in_flight -= 1;  // delivered
         return;
       }
-      const NodeId nxt = next_hop(v, tgt, pk.salt);
-      const auto& nb = topo_.neighbors(v);
-      const auto k = static_cast<std::size_t>(
-          std::find(nb.begin(), nb.end(), nxt) - nb.begin());
-      out[static_cast<std::size_t>(v)][k].push_back(pk);
-      result.max_queue = std::max(
-          result.max_queue,
-          static_cast<std::int64_t>(out[static_cast<std::size_t>(v)][k]
-                                        .size()));
+      push(next_link(v, tgt, p.salt), i);
       return;
     }
   };
 
+  std::int32_t i = 0;
   for (const Message& m : rel.messages()) {
-    Packet pk;
-    pk.final_dst = m.dst;
-    pk.salt = rng();
+    Packet& p = pk[static_cast<std::size_t>(i)];
+    p.final_dst = m.dst;
+    p.salt = rng();
     if (opt.valiant) {
-      pk.via = static_cast<ProcId>(
+      p.via = static_cast<ProcId>(
           rng.below(static_cast<std::uint64_t>(topo_.nprocs())));
-      if (pk.via == m.dst) pk.via = -1;
+      if (p.via == m.dst) p.via = -1;
     }
     in_flight += 1;
-    place(topo_.processors()[static_cast<std::size_t>(m.src)], pk);
+    place(topo_.processors()[static_cast<std::size_t>(m.src)], i++);
   }
 
   // Synchronous steps: move one packet per link (multi-port) or one per
-  // node (single-port). Transfers within a step are staged so a packet
-  // moves at most one hop per step.
-  std::vector<std::pair<NodeId, Packet>> moved;
-  std::vector<std::size_t> rotate(n, 0);  // single-port fairness
+  // node (single-port), visiting links in ascending order. Transfers
+  // within a step are staged so a packet moves at most one hop per step.
+  std::vector<std::pair<NodeId, std::int32_t>> moved;
+  std::vector<std::size_t> rotate(static_cast<std::size_t>(topo_.size()),
+                                  0);  // single-port fairness
   while (in_flight > 0) {
     if (result.steps >= opt.max_steps) {
       result.timed_out = true;
@@ -126,38 +179,37 @@ PacketSim::Result PacketSim::route(const routing::HRelation& rel,
     }
     result.steps += 1;
     moved.clear();
-    for (std::size_t v = 0; v < n; ++v) {
-      auto& queues = out[v];
-      if (queues.empty()) continue;
-      if (topo_.single_port()) {
-        // Send the head of one nonempty queue, round robin over links.
-        for (std::size_t probe = 0; probe < queues.size(); ++probe) {
-          const std::size_t k = (rotate[v] + probe) % queues.size();
-          if (!queues[k].empty()) {
-            moved.emplace_back(
-                topo_.neighbors(static_cast<NodeId>(v))[k],
-                queues[k].front());
-            queues[k].pop_front();
-            rotate[v] = (k + 1) % queues.size();
+    if (topo_.single_port()) {
+      // Send the head of one nonempty queue, round robin over links.
+      for (std::size_t l = next_active(0); l < nlinks;) {
+        const auto v = static_cast<std::size_t>(link_from_[l]);
+        const auto base = static_cast<std::size_t>(link_base_[v]);
+        const auto end = static_cast<std::size_t>(link_base_[v + 1]);
+        const std::size_t deg = end - base;
+        for (std::size_t probe = 0; probe < deg; ++probe) {
+          const std::size_t k = (rotate[v] + probe) % deg;
+          if (fifo[base + k].len > 0) {
+            moved.emplace_back(link_to_[base + k], pop(base + k));
+            rotate[v] = (k + 1) % deg;
             break;
           }
         }
-      } else {
-        for (std::size_t k = 0; k < queues.size(); ++k) {
-          if (!queues[k].empty()) {
-            moved.emplace_back(
-                topo_.neighbors(static_cast<NodeId>(v))[k],
-                queues[k].front());
-            queues[k].pop_front();
-          }
-        }
+        l = next_active(end);
       }
+    } else {
+      // Pop the head of every nonempty queue. Each word is walked from a
+      // copy: pop() clears only the bit being visited.
+      for (std::size_t w = 0; w < active.size(); ++w)
+        for (std::uint64_t bits = active[w]; bits != 0; bits &= bits - 1) {
+          const std::size_t l =
+              w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+          moved.emplace_back(link_to_[l], pop(l));
+        }
     }
     if (moved.empty()) break;  // nothing can move: impossible if in_flight>0
-    for (auto& [node, pk] : moved) {
-      pk.hops += 1;
+    for (const auto& [node, idx] : moved) {
       result.total_hops += 1;
-      place(node, pk);
+      place(node, idx);
     }
   }
   BSPLOGP_ASSERT(result.timed_out || in_flight == 0);

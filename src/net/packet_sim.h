@@ -32,7 +32,8 @@ class PacketSim {
   };
 
   /// Precomputes per-destination distance fields (BFS from every processor
-  /// node). The topology is copied, so the simulator owns its world.
+  /// node) and numbers the directed links. The topology is copied, so the
+  /// simulator owns its world.
   explicit PacketSim(Topology topology);
 
   struct Result {
@@ -52,12 +53,19 @@ class PacketSim {
   [[nodiscard]] const Topology& topology() const { return topo_; }
 
  private:
-  [[nodiscard]] NodeId next_hop(NodeId at, ProcId dst_proc,
-                                std::uint64_t salt) const;
+  /// The link a packet at `at` bound for processor `dst_proc` takes next.
+  [[nodiscard]] std::size_t next_link(NodeId at, ProcId dst_proc,
+                                      std::uint64_t salt) const;
 
   Topology topo_;
   /// dist_[d][v]: hops from node v to processor d's node.
   std::vector<std::vector<NodeId>> dist_;
+  /// Directed links in (node, neighbor index) order: node v's links are
+  /// link_base_[v] .. link_base_[v + 1] - 1, and link l runs from
+  /// link_from_[l] to link_to_[l].
+  std::vector<std::int32_t> link_base_;
+  std::vector<NodeId> link_from_;
+  std::vector<NodeId> link_to_;
 };
 
 /// Sweeps h over `hs`, routing `trials` random h-regular relations per

@@ -7,6 +7,13 @@
 namespace bsplogp::net {
 namespace {
 
+constexpr TopologyKind kAllKinds[] = {
+    TopologyKind::Ring,           TopologyKind::Mesh2D,
+    TopologyKind::Mesh3D,         TopologyKind::HypercubeMulti,
+    TopologyKind::HypercubeSingle, TopologyKind::Butterfly,
+    TopologyKind::CubeConnectedCycles, TopologyKind::ShuffleExchange,
+    TopologyKind::MeshOfTrees};
+
 TEST(PacketSim, SingleMessageTakesDistanceSteps) {
   const PacketSim sim(make_topology(TopologyKind::Ring, 8));
   routing::HRelation rel(8);
@@ -26,11 +33,7 @@ TEST(PacketSim, EmptyRelationIsFree) {
 
 TEST(PacketSim, PermutationCompletesOnEveryTopology) {
   core::Rng rng(17);
-  for (const auto kind :
-       {TopologyKind::Ring, TopologyKind::Mesh2D, TopologyKind::Mesh3D,
-        TopologyKind::HypercubeMulti, TopologyKind::HypercubeSingle,
-        TopologyKind::Butterfly, TopologyKind::CubeConnectedCycles,
-        TopologyKind::ShuffleExchange, TopologyKind::MeshOfTrees}) {
+  for (const auto kind : kAllKinds) {
     const PacketSim sim(make_topology(kind, 16));
     const auto rel =
         routing::random_permutation(sim.topology().nprocs(), rng);
@@ -94,7 +97,20 @@ TEST(PacketSim, TimesOutOnTinyBudget) {
   const auto rel = routing::random_regular(64, 8, rng);
   PacketSim::Options opt;
   opt.max_steps = 2;
-  EXPECT_TRUE(sim.route(rel, opt).timed_out);
+  const auto res = sim.route(rel, opt);
+  EXPECT_TRUE(res.timed_out);
+  // The cut-off keeps the counts of the steps it ran (pinned).
+  EXPECT_EQ(res.steps, 2);
+  EXPECT_EQ(res.packets, 512);
+  EXPECT_EQ(res.total_hops, 256);
+  EXPECT_EQ(res.max_queue, 7);
+  opt.valiant = true;
+  const auto rv = sim.route(rel, opt);
+  EXPECT_TRUE(rv.timed_out);
+  EXPECT_EQ(rv.steps, 2);
+  EXPECT_EQ(rv.packets, 512);
+  EXPECT_EQ(rv.total_hops, 255);
+  EXPECT_EQ(rv.max_queue, 8);
 }
 
 TEST(PacketSim, FitRecoversRingBandwidth) {
@@ -121,6 +137,104 @@ TEST(PacketSim, FitHypercubeGammaNearlyConstant) {
   // Table 1: gamma = 1 for the multi-port hypercube; the fitted slope must
   // not grow materially with p.
   EXPECT_LT(f128.gamma_hat() / std::max(f16.gamma_hat(), 0.1), 2.5);
+}
+
+TEST(PacketSim, DirectRoutesWalkShortestPaths) {
+  // Without Valiant every packet follows a shortest path, so the hop total
+  // is the sum of the BFS distances between the messages' endpoint nodes.
+  // The nine kinds cover both port semantics (HypercubeSingle is the
+  // single-port one) and the routing-only inner nodes of MeshOfTrees.
+  core::Rng rng(41);
+  for (const auto kind : kAllKinds) {
+    const Topology topo = make_topology(kind, 64);
+    const PacketSim sim(topo);
+    auto rel = routing::random_regular(topo.nprocs(), 8, rng);
+    rel.add(3, 3);  // delivered where it starts: no hop
+    const auto node = [&](ProcId i) {
+      return topo.processors()[static_cast<std::size_t>(i)];
+    };
+    std::int64_t expected = 0;
+    for (const Message& m : rel.messages())
+      expected += topo.distances_from(node(m.src))[static_cast<std::size_t>(
+          node(m.dst))];
+    const auto res = sim.route(rel, {});
+    EXPECT_FALSE(res.timed_out) << to_string(kind);
+    EXPECT_EQ(res.packets, static_cast<std::int64_t>(rel.size()))
+        << to_string(kind);
+    EXPECT_EQ(res.total_hops, expected) << to_string(kind);
+  }
+}
+
+/// FNV-1a over 64-bit words, little-endian byte order.
+class Fnv64 {
+ public:
+  void add(std::int64_t v) {
+    const auto u = static_cast<std::uint64_t>(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      h_ ^= (u >> (8 * byte)) & 0xff;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+TEST(PacketSim, GoldenResultsPerTopology) {
+  // Every Result field of 12 routes per (kind, p): random h-regular
+  // relations at h = 1, 8, 32, each routed direct and via Valiant at route
+  // seeds 3 and 11. The pins catch any change to queue order, tie-breaks,
+  // Valiant's draws or the max_queue high-water mark.
+  struct Golden {
+    TopologyKind kind;
+    ProcId p;
+    std::uint64_t hash;
+  };
+  constexpr Golden kGolden[] = {
+      {TopologyKind::Ring, 16, 0x55e97d96b5c9de30ULL},
+      {TopologyKind::Ring, 64, 0xc9c3cb5d24e31002ULL},
+      {TopologyKind::Mesh2D, 16, 0xf19ef45fb0349eb6ULL},
+      {TopologyKind::Mesh2D, 64, 0xa0a7f1982de7c186ULL},
+      {TopologyKind::Mesh3D, 16, 0x8b4b932941f87273ULL},
+      {TopologyKind::Mesh3D, 64, 0x2b2f9e418ca8053dULL},
+      {TopologyKind::HypercubeMulti, 16, 0x555e4e3799a19ed7ULL},
+      {TopologyKind::HypercubeMulti, 64, 0x71b83573bc987f7cULL},
+      {TopologyKind::HypercubeSingle, 16, 0xc308ff787f3e69a0ULL},
+      {TopologyKind::HypercubeSingle, 64, 0x7662cd345c2b0438ULL},
+      {TopologyKind::Butterfly, 16, 0x68faff37ad244a47ULL},
+      {TopologyKind::Butterfly, 64, 0x21d2f7e51eba1697ULL},
+      {TopologyKind::CubeConnectedCycles, 16, 0x8eecde0bdc688d80ULL},
+      {TopologyKind::CubeConnectedCycles, 64, 0xbe9fa4e278116be6ULL},
+      {TopologyKind::ShuffleExchange, 16, 0xabd42f65ba50bcc2ULL},
+      {TopologyKind::ShuffleExchange, 64, 0x2cdf7c3550e24d43ULL},
+      {TopologyKind::MeshOfTrees, 16, 0xc67baa28a9c2cbecULL},
+      {TopologyKind::MeshOfTrees, 64, 0xc77edf041bf6965cULL},
+  };
+  for (const Golden& g : kGolden) {
+    const PacketSim sim(make_topology(g.kind, g.p));
+    core::Rng rng(static_cast<std::uint64_t>(g.p));
+    Fnv64 h;
+    for (const Time hdeg : {1, 8, 32}) {
+      const auto rel =
+          routing::random_regular(sim.topology().nprocs(), hdeg, rng);
+      for (const bool valiant : {false, true})
+        for (const std::uint64_t seed : {3ULL, 11ULL}) {
+          PacketSim::Options opt;
+          opt.valiant = valiant;
+          opt.seed = seed;
+          const auto res = sim.route(rel, opt);
+          EXPECT_FALSE(res.timed_out);
+          for (const std::int64_t v :
+               {res.steps, res.total_hops, res.max_queue, res.packets,
+                std::int64_t{res.timed_out}})
+            h.add(v);
+        }
+    }
+    EXPECT_EQ(h.value(), g.hash)
+        << to_string(g.kind) << " p=" << g.p << std::hex << " 0x"
+        << h.value();
+  }
 }
 
 TEST(PacketSim, DeterministicPerSeed) {
