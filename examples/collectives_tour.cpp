@@ -1,7 +1,9 @@
 // A tour of the LogP collective library (Section 4.1 and the Karp-et-al
 // algorithms the paper cites): CB, barrier, tree and greedy broadcast,
 // time-reversed reduction, prefix scan, scatter and gather — each with its
-// exact model-time cost on the same machine.
+// exact model-time cost on the same machine. Exits 1 (after printing) if
+// any processor's CB sum misses the "(expect ...)" value.
+#include <algorithm>
 #include <iostream>
 
 #include "src/algo/logp_broadcast_opt.h"
@@ -14,6 +16,8 @@
 using namespace bsplogp;
 
 namespace {
+
+constexpr Word kCbSum = 2080;  // 1 + 2 + ... + 64
 
 struct Row {
   std::string name;
@@ -142,8 +146,14 @@ int main() {
     table.add_row({r.name, core::fmt(r.time), core::fmt(r.messages),
                    r.stall_free ? "yes" : "no", r.result});
   table.print(std::cout);
-  std::cout << "\nCB sanity: " << cb_results.front() << " (expect 2080); "
+  std::cout << "\nCB sanity: " << cb_results.front() << " (expect "
+            << kCbSum << "); "
             << "T_CB bound (Prop. 2 shape): "
             << algo::cb_time_bound(prm, p) << "\n";
-  return 0;
+  if (std::all_of(cb_results.begin(), cb_results.end(),
+                  [](Word v) { return v == kCbSum; }))
+    return 0;
+  std::cerr << "collectives_tour: a processor's CB sum is not " << kCbSum
+            << "\n";
+  return 1;
 }

@@ -8,6 +8,9 @@
 // Build and run:
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/quickstart
+//
+// Exits 1 (after printing) if a computed value misses its "(expect ...)".
+#include <algorithm>
 #include <iostream>
 
 #include "src/algo/bsp_algorithms.h"
@@ -20,7 +23,11 @@ using namespace bsplogp;
 
 namespace {
 
-void run_bsp() {
+constexpr Word kLastPrefix = 136;  // 1 + 2 + ... + 16
+constexpr Word kGlobalMax = 16;
+
+/// Runs the BSP prefix sum; true iff its last prefix is kLastPrefix.
+bool run_bsp() {
   const ProcId p = 16;
   const bsp::Params params{/*g=*/4, /*l=*/32};
 
@@ -35,7 +42,8 @@ void run_bsp() {
   const bsp::RunStats stats = machine.run(programs);
 
   std::cout << "[BSP]  prefix-sum of 1..16 on p=16, g=4, l=32\n"
-            << "       last prefix   = " << prefix.back() << " (expect 136)\n"
+            << "       last prefix   = " << prefix.back() << " (expect "
+            << kLastPrefix << ")\n"
             << "       supersteps    = " << stats.supersteps << "\n"
             << "       messages      = " << stats.messages << "\n"
             << "       model time    = " << stats.finish_time << " steps\n";
@@ -44,9 +52,15 @@ void run_bsp() {
     std::cout << " (" << ss.w << "," << ss.h << "," << ss.total(params)
               << ")";
   std::cout << "\n\n";
+  if (prefix.back() == kLastPrefix) return true;
+  std::cerr << "quickstart: BSP last prefix " << prefix.back()
+            << " != " << kLastPrefix << "\n";
+  return false;
 }
 
-void run_logp() {
+/// Runs the LogP combine-and-broadcast; true iff every processor learned
+/// kGlobalMax.
+bool run_logp() {
   const ProcId p = 16;
   const logp::Params params{/*L=*/16, /*o=*/2, /*G=*/4};
 
@@ -62,7 +76,8 @@ void run_logp() {
   const logp::RunStats stats = machine.run(programs);
 
   std::cout << "[LogP] combine-and-broadcast(max) on p=16, L=16, o=2, G=4\n"
-            << "       result        = " << result[0] << " (expect 16)\n"
+            << "       result        = " << result[0] << " (expect "
+            << kGlobalMax << ")\n"
             << "       completion    = " << stats.finish_time << " steps\n"
             << "       T_CB bound    = " << algo::cb_time_bound(params, p)
             << " (Proposition 2 shape)\n"
@@ -71,13 +86,19 @@ void run_logp() {
             << "  (CB is stall-free by construction)\n"
             << "       max in-transit/dest = " << stats.max_in_transit
             << " (capacity " << params.capacity() << ")\n";
+  if (std::all_of(result.begin(), result.end(),
+                  [](Word v) { return v == kGlobalMax; }))
+    return true;
+  std::cerr << "quickstart: a LogP processor's max is not " << kGlobalMax
+            << "\n";
+  return false;
 }
 
 }  // namespace
 
 int main() {
   std::cout << "bsplogp quickstart: one program on each model\n\n";
-  run_bsp();
-  run_logp();
-  return 0;
+  const bool bsp_ok = run_bsp();
+  const bool logp_ok = run_logp();
+  return bsp_ok && logp_ok ? 0 : 1;
 }

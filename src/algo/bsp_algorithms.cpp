@@ -1,12 +1,9 @@
 #include "src/algo/bsp_algorithms.h"
 
 #include <algorithm>
-#include <tuple>
 #include <utility>
 
-#include "src/algo/tree.h"
 #include "src/core/contracts.h"
-#include "src/core/rng.h"
 
 namespace bsplogp::algo {
 
@@ -23,98 +20,6 @@ BspPrograms build(ProcId p, MakeFn make) {
 }
 
 }  // namespace
-
-BspPrograms bsp_broadcast_direct(ProcId p, Word value,
-                                 std::vector<Word>& out) {
-  BSPLOGP_EXPECTS(p >= 1);
-  out.assign(static_cast<std::size_t>(p), 0);
-  return build(p, [&out, value, p](ProcId) {
-    return [&out, value, p](bsp::Ctx& c) {
-      if (c.superstep() == 0) {
-        if (c.pid() == 0) {
-          out[0] = value;
-          for (ProcId d = 1; d < p; ++d) c.send(d, value);
-        }
-        return p > 1;  // single processor: done immediately
-      }
-      if (!c.inbox().empty())
-        out[static_cast<std::size_t>(c.pid())] = c.inbox()[0].payload;
-      return false;
-    };
-  });
-}
-
-BspPrograms bsp_broadcast_tree(ProcId p, ProcId arity, Word value,
-                               std::vector<Word>& out) {
-  BSPLOGP_EXPECTS(p >= 1);
-  out.assign(static_cast<std::size_t>(p), 0);
-  // The tree is shared, immutable machinery; capture by value per program.
-  const DAryTree tree(p, arity);
-  return build(p, [&out, value, tree](ProcId me) {
-    const int my_depth = tree.depth(me);
-    const int height = tree.height();
-    return [&out, value, tree, me, my_depth, height](bsp::Ctx& c) {
-      // A node at depth k receives the value at the start of superstep k
-      // (the root "has" it at superstep 0) and forwards it in the same
-      // superstep.
-      if (c.superstep() == my_depth) {
-        Word v = value;
-        if (me != 0) {
-          BSPLOGP_ASSERT(c.inbox().size() == 1);
-          v = c.inbox()[0].payload;
-        }
-        out[static_cast<std::size_t>(me)] = v;
-        for (const ProcId child : tree.children(me)) c.send(child, v);
-      }
-      return c.superstep() < height;
-    };
-  });
-}
-
-BspPrograms bsp_allreduce(ProcId p, std::span<const Word> in, ReduceOp op,
-                          std::vector<Word>& out) {
-  BSPLOGP_EXPECTS(std::cmp_equal(in.size(), p));
-  out.assign(static_cast<std::size_t>(p), 0);
-  // Binary-tree reduce (supersteps 0..H-1, node at depth k sends at
-  // superstep H-1-k... scheduled uniformly as H - depth) followed by a
-  // tree broadcast of the total. 2H+1 supersteps, degree <= arity.
-  const DAryTree tree(p, 2);
-  const int height = tree.height();
-  struct State {
-    Word acc = 0;
-  };
-  auto states = std::make_shared<std::vector<State>>(
-      static_cast<std::size_t>(p));
-  for (ProcId i = 0; i < p; ++i)
-    (*states)[static_cast<std::size_t>(i)].acc =
-        in[static_cast<std::size_t>(i)];
-  return build(p, [states, &out, op, tree, height](ProcId me) {
-    const int my_depth = tree.depth(me);
-    return [states, &out, op, tree, height, my_depth, me](bsp::Ctx& c) {
-      State& st = (*states)[static_cast<std::size_t>(me)];
-      for (const Message& m : c.inbox()) {
-        if (m.tag == 0) {
-          st.acc = apply(op, st.acc, m.payload);  // ascending partial
-          c.charge(1);
-        } else {
-          st.acc = m.payload;  // descending total
-        }
-      }
-      // Ascend: depth k sends its combined subtree value at superstep
-      // height - k (every child, even a shallow leaf, has sent by then).
-      if (me != 0 && c.superstep() == height - my_depth + 0)
-        c.send(tree.parent(me), st.acc, 0);
-      // Descend: the root's total is complete at superstep height+1.
-      const std::int64_t send_down_at = height + 1 + my_depth;
-      if (c.superstep() == send_down_at) {
-        for (const ProcId child : tree.children(me))
-          c.send(child, st.acc, 1);
-        out[static_cast<std::size_t>(me)] = st.acc;
-      }
-      return c.superstep() < send_down_at;
-    };
-  });
-}
 
 BspPrograms bsp_prefix_scan(ProcId p, std::span<const Word> in, ReduceOp op,
                             std::vector<Word>& out) {
@@ -209,216 +114,6 @@ BspPrograms bsp_odd_even_sort(ProcId p,
         return true;
       }
       out[static_cast<std::size_t>(me)] = st.block;
-      return false;
-    };
-  });
-}
-
-BspPrograms bsp_radix_sort(ProcId p,
-                           const std::vector<std::vector<Word>>& blocks,
-                           Word key_range,
-                           std::vector<std::vector<Word>>& out) {
-  BSPLOGP_EXPECTS(std::cmp_equal(blocks.size(), p));
-  BSPLOGP_EXPECTS(key_range >= 1);
-  for (const auto& blk : blocks)
-    for (const Word k : blk) BSPLOGP_EXPECTS(k >= 0 && k < key_range);
-  out.assign(static_cast<std::size_t>(p), {});
-
-  // Number of base-p digits needed to cover the key range.
-  int rounds = 1;
-  {
-    Word span = p;
-    while (span < key_range) {
-      span *= p;
-      ++rounds;
-    }
-  }
-
-  struct State {
-    std::vector<Word> keys;
-  };
-  auto states =
-      std::make_shared<std::vector<State>>(static_cast<std::size_t>(p));
-  for (ProcId i = 0; i < p; ++i)
-    (*states)[static_cast<std::size_t>(i)].keys =
-        blocks[static_cast<std::size_t>(i)];
-
-  return build(p, [states, &out, p, rounds](ProcId me) {
-    return [states, &out, p, rounds, me](bsp::Ctx& c) {
-      State& st = (*states)[static_cast<std::size_t>(me)];
-      if (c.superstep() > 0) {
-        // Collect the previous round stably: order by (src, sequence).
-        std::vector<Message> msgs(c.inbox().begin(), c.inbox().end());
-        std::stable_sort(msgs.begin(), msgs.end(),
-                         [](const Message& a, const Message& b) {
-                           return std::tie(a.src, a.tag) <
-                                  std::tie(b.src, b.tag);
-                         });
-        c.charge(static_cast<Time>(msgs.size()));
-        st.keys.clear();
-        for (const Message& m : msgs) st.keys.push_back(m.payload);
-      }
-      const std::int64_t s = c.superstep();
-      if (s < rounds) {
-        Word divisor = 1;
-        for (std::int64_t d = 0; d < s; ++d) divisor *= p;
-        for (std::size_t j = 0; j < st.keys.size(); ++j) {
-          const auto digit =
-              static_cast<ProcId>((st.keys[j] / divisor) % p);
-          c.send(digit, st.keys[j], static_cast<std::int32_t>(j));
-        }
-        return true;
-      }
-      out[static_cast<std::size_t>(me)] = st.keys;
-      return false;
-    };
-  });
-}
-
-BspPrograms bsp_sample_sort(ProcId p,
-                            const std::vector<std::vector<Word>>& blocks,
-                            std::vector<std::vector<Word>>& out) {
-  BSPLOGP_EXPECTS(std::cmp_equal(blocks.size(), p));
-  out.assign(static_cast<std::size_t>(p), {});
-  constexpr std::int32_t kTagSample = 1;
-  constexpr std::int32_t kTagSplitter = 2;
-  constexpr std::int32_t kTagData = 3;
-
-  struct State {
-    std::vector<Word> keys;
-    std::vector<Word> splitters;
-  };
-  auto states =
-      std::make_shared<std::vector<State>>(static_cast<std::size_t>(p));
-  for (ProcId i = 0; i < p; ++i)
-    (*states)[static_cast<std::size_t>(i)].keys =
-        blocks[static_cast<std::size_t>(i)];
-
-  return build(p, [states, &out, p](ProcId me) {
-    return [states, &out, p, me](bsp::Ctx& c) {
-      State& st = (*states)[static_cast<std::size_t>(me)];
-      switch (c.superstep()) {
-        case 0: {
-          // Local sort + regular sampling: p samples per processor.
-          std::sort(st.keys.begin(), st.keys.end());
-          c.charge(static_cast<Time>(st.keys.size()) *
-                   std::max(1, ceil_log2(static_cast<std::int64_t>(
-                                   st.keys.size()) + 1)));
-          const auto n = static_cast<std::int64_t>(st.keys.size());
-          for (ProcId k = 0; k < p && n > 0; ++k) {
-            const auto pos = static_cast<std::size_t>(
-                (static_cast<std::int64_t>(k) * n) / p);
-            c.send(0, st.keys[pos], kTagSample);
-          }
-          return true;
-        }
-        case 1: {
-          // Processor 0 sorts the <= p^2 samples and broadcasts p-1
-          // regular splitters.
-          if (me == 0) {
-            std::vector<Word> samples;
-            for (const Message& m : c.inbox())
-              if (m.tag == kTagSample) samples.push_back(m.payload);
-            std::sort(samples.begin(), samples.end());
-            c.charge(static_cast<Time>(samples.size()) *
-                     std::max(1, ceil_log2(static_cast<std::int64_t>(
-                                     samples.size()) + 1)));
-            const auto n = static_cast<std::int64_t>(samples.size());
-            for (ProcId k = 1; k < p; ++k) {
-              const Word splitter =
-                  n == 0 ? 0
-                         : samples[static_cast<std::size_t>(
-                               (static_cast<std::int64_t>(k) * n) / p)];
-              for (ProcId d = 0; d < p; ++d)
-                c.send(d, splitter, kTagSplitter);
-            }
-          }
-          return true;
-        }
-        case 2: {
-          // Partition by the splitters; route each key to its bucket.
-          for (const Message& m : c.inbox())
-            if (m.tag == kTagSplitter) st.splitters.push_back(m.payload);
-          std::sort(st.splitters.begin(), st.splitters.end());
-          for (const Word k : st.keys) {
-            const auto bucket = static_cast<ProcId>(
-                std::upper_bound(st.splitters.begin(), st.splitters.end(),
-                                 k) -
-                st.splitters.begin());
-            c.send(bucket, k, kTagData);
-          }
-          c.charge(static_cast<Time>(st.keys.size()));
-          return true;
-        }
-        default: {
-          std::vector<Word> bucket;
-          for (const Message& m : c.inbox())
-            if (m.tag == kTagData) bucket.push_back(m.payload);
-          std::sort(bucket.begin(), bucket.end());
-          c.charge(static_cast<Time>(bucket.size()) *
-                   std::max(1, ceil_log2(static_cast<std::int64_t>(
-                                   bucket.size()) + 1)));
-          out[static_cast<std::size_t>(me)] = std::move(bucket);
-          return false;
-        }
-      }
-    };
-  });
-}
-
-BspPrograms bsp_matvec(ProcId p, std::int64_t n, std::span<const Word> x,
-                       std::uint64_t seed, std::vector<Word>& out) {
-  BSPLOGP_EXPECTS(p >= 1);
-  BSPLOGP_EXPECTS(n % p == 0);
-  BSPLOGP_EXPECTS(std::cmp_equal(x.size(), n));
-  out.assign(static_cast<std::size_t>(n), 0);
-  const std::int64_t rows = n / p;
-
-  // Deterministic matrix entry: a small mixed hash, identical on every
-  // processor (the matrix is conceptually replicated read-only input).
-  auto entry = [seed](std::int64_t r, std::int64_t col) -> Word {
-    std::uint64_t h = seed ^ (static_cast<std::uint64_t>(r) * 0x9e3779b9ULL) ^
-                      (static_cast<std::uint64_t>(col) * 0x85ebca6bULL);
-    h = core::splitmix64(h);
-    return static_cast<Word>(h % 10);
-  };
-
-  struct State {
-    std::vector<Word> xfull;
-  };
-  auto states =
-      std::make_shared<std::vector<State>>(static_cast<std::size_t>(p));
-
-  return build(p, [states, &out, x, p, n, rows, entry](ProcId me) {
-    return [states, &out, x, p, n, rows, entry, me](bsp::Ctx& c) {
-      State& st = (*states)[static_cast<std::size_t>(me)];
-      if (c.superstep() == 0) {
-        // Everyone owns the x-block [me*rows, (me+1)*rows) and sends it to
-        // every other processor: an h-relation with h = (p-1)*n/p < n.
-        st.xfull.assign(static_cast<std::size_t>(n), 0);
-        for (std::int64_t j = 0; j < rows; ++j) {
-          const std::int64_t gj = me * rows + j;
-          st.xfull[static_cast<std::size_t>(gj)] =
-              x[static_cast<std::size_t>(gj)];
-          for (ProcId d = 0; d < p; ++d)
-            if (d != me)
-              c.send(d, x[static_cast<std::size_t>(gj)],
-                     static_cast<std::int32_t>(gj));
-        }
-        return true;
-      }
-      if (c.superstep() == 1) {
-        for (const Message& m : c.inbox())
-          st.xfull[static_cast<std::size_t>(m.tag)] = m.payload;
-        // Local block-row dot products: w = rows * n.
-        for (std::int64_t r = me * rows; r < (me + 1) * rows; ++r) {
-          Word acc = 0;
-          for (std::int64_t col = 0; col < n; ++col)
-            acc += entry(r, col) * st.xfull[static_cast<std::size_t>(col)];
-          out[static_cast<std::size_t>(r)] = acc;
-          c.charge(n);
-        }
-      }
       return false;
     };
   });

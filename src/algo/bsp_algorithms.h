@@ -1,7 +1,7 @@
-// A small library of classic BSP algorithms. They serve three roles:
-// (1) realistic workloads for the Theorem-2 simulation of BSP on LogP,
-// (2) the example applications, and (3) cost-model regression tests (their
-// superstep costs have closed forms).
+// The two BSP algorithms the rest of the tree runs: the inclusive prefix
+// scan (examples/quickstart) and the odd-even transposition block sort
+// (the `odd-even-sort` workload-registry family and
+// examples/cross_simulation).
 //
 // Each factory returns one ProcProgram per processor; results are written
 // into caller-owned output ranges when the program halts.
@@ -19,24 +19,6 @@ namespace bsplogp::algo {
 
 using BspPrograms = std::vector<std::unique_ptr<bsp::ProcProgram>>;
 
-/// One-superstep broadcast: the root sends `value` to everyone (an
-/// h-relation with h = p-1). out[i] receives the value. 2 supersteps total
-/// (send, read).
-[[nodiscard]] BspPrograms bsp_broadcast_direct(ProcId p, Word value,
-                                               std::vector<Word>& out);
-
-/// d-ary tree broadcast: ceil(log_d p) communication supersteps, each an
-/// h-relation with h <= d. Trades supersteps (latency l) for degree
-/// (bandwidth g) against the direct version — the classic BSP tradeoff.
-[[nodiscard]] BspPrograms bsp_broadcast_tree(ProcId p, ProcId arity,
-                                             Word value,
-                                             std::vector<Word>& out);
-
-/// All-reduce under `op`: every processor ends with the reduction of in[i]
-/// over all i. Hillis–Steele doubling: ceil(log2 p) supersteps of degree 1.
-[[nodiscard]] BspPrograms bsp_allreduce(ProcId p, std::span<const Word> in,
-                                        ReduceOp op, std::vector<Word>& out);
-
 /// Inclusive prefix scan: out[i] = op(in[0..i]). ceil(log2 p) supersteps of
 /// degree 1.
 [[nodiscard]] BspPrograms bsp_prefix_scan(ProcId p, std::span<const Word> in,
@@ -50,35 +32,5 @@ using BspPrograms = std::vector<std::unique_ptr<bsp::ProcProgram>>;
 [[nodiscard]] BspPrograms bsp_odd_even_sort(
     ProcId p, const std::vector<std::vector<Word>>& blocks,
     std::vector<std::vector<Word>>& out);
-
-/// Parallel LSD radix sort with radix p: each round routes every key to
-/// the processor named by its current base-p digit (stability by (src,
-/// sequence) order), for ceil(log_p(key_range)) rounds. Keys must lie in
-/// [0, key_range). The per-round relations are irregular and can be very
-/// lopsided — exactly the workload the paper's Section 6 cites (the LogP
-/// Radixsort of [16]) as prone to violating the capacity constraint, and
-/// which Theorem 2's router must nonetheless run stall-free. Output blocks
-/// are the final buckets (sizes vary; concatenation is sorted).
-[[nodiscard]] BspPrograms bsp_radix_sort(
-    ProcId p, const std::vector<std::vector<Word>>& blocks, Word key_range,
-    std::vector<std::vector<Word>>& out);
-
-/// Sample sort: local sort, regular sampling, splitter broadcast, one
-/// all-to-all partition superstep, local merge. O(1) supersteps with
-/// h ~ 2n/p for well-spread inputs — the classic "direct" BSP algorithm
-/// family of Gerbessiotis–Valiant ([4] in the paper).
-[[nodiscard]] BspPrograms bsp_sample_sort(
-    ProcId p, const std::vector<std::vector<Word>>& blocks,
-    std::vector<std::vector<Word>>& out);
-
-/// Dense n x n matrix–vector multiply with block-row distribution
-/// (n divisible by p): two supersteps — broadcast the needed x fragments
-/// (an h-relation with h = n), then local dot products (w = n^2/p).
-/// Matrix rows are generated deterministically from `seed` on each
-/// processor; out collects y = A x.
-[[nodiscard]] BspPrograms bsp_matvec(ProcId p, std::int64_t n,
-                                     std::span<const Word> x,
-                                     std::uint64_t seed,
-                                     std::vector<Word>& out);
 
 }  // namespace bsplogp::algo

@@ -1,7 +1,7 @@
 #include "src/native/spmd.h"
 
+#include <exception>
 #include <optional>
-#include <utility>
 
 namespace bsplogp::native {
 
@@ -41,44 +41,6 @@ void Barrier::poison() {
   cv_.notify_all();
 }
 
-void World::sync() {
-  detail::WorldState& st = *state_;
-  const auto p = static_cast<std::size_t>(st.nprocs);
-  const auto me = static_cast<std::size_t>(pid_);
-
-  // Wave 1: everyone's puts/gets of this superstep are buffered and all
-  // local computation (writes to registered cells) is done.
-  st.barrier.arrive_and_wait();
-
-  // Gets first, against pre-put values: each processor resolves its *own*
-  // gets (reads of remote cells — remote threads are parked, so the reads
-  // are race-free and see the pre-sync state).
-  for (detail::PendingOp& op : st.gets[me]) {
-    void* cell = st.slots[static_cast<std::size_t>(op.target)][op.slot];
-    BSPLOGP_EXPECTS(cell != nullptr);
-    op.apply(cell);
-  }
-  st.gets[me].clear();
-
-  // Wave 2: all gets resolved; puts may now overwrite cells. Each
-  // processor applies the puts *addressed to it*, scanning senders in id
-  // order so racing puts to one cell have a deterministic winner.
-  st.barrier.arrive_and_wait();
-  for (std::size_t src = 0; src < p; ++src) {
-    for (detail::PendingOp& op : st.puts[src]) {
-      if (static_cast<std::size_t>(op.target) != me) continue;
-      void* cell = st.slots[me][op.slot];
-      BSPLOGP_EXPECTS(cell != nullptr);
-      op.apply(cell);
-    }
-  }
-
-  // Wave 3: all puts landed; senders may now clear their queues (nobody
-  // reads them again until after the next sync's wave 1).
-  st.barrier.arrive_and_wait();
-  st.puts[me].clear();
-}
-
 void spawn(ProcId nprocs, const std::function<void(World&)>& spmd,
            core::ThreadPool* pool) {
   BSPLOGP_EXPECTS(nprocs >= 1);
@@ -91,17 +53,17 @@ void spawn(ProcId nprocs, const std::function<void(World&)>& spmd,
   }
   BSPLOGP_EXPECTS(pool->workers() + 1 >= static_cast<int>(nprocs));
 
-  detail::WorldState state(nprocs);
+  Barrier barrier(nprocs);
   std::mutex error_mu;
   std::exception_ptr first_error;
 
   pool->for_spmd(static_cast<std::size_t>(nprocs), [&](std::size_t i) {
-    World world(&state, static_cast<ProcId>(i));
+    World world(barrier, nprocs, static_cast<ProcId>(i));
     try {
       spmd(world);
       // Finished processors leave the group so siblings with more
       // supersteps to run don't block on them (BSPlib bsp_end).
-      state.barrier.drop();
+      barrier.drop();
     } catch (const AbortedError&) {
       // Secondary: some sibling failed first and poisoned the barrier.
       // Its exception is the one worth reporting.
@@ -110,7 +72,7 @@ void spawn(ProcId nprocs, const std::function<void(World&)>& spmd,
         const std::lock_guard<std::mutex> lock(error_mu);
         if (first_error == nullptr) first_error = std::current_exception();
       }
-      state.barrier.poison();
+      barrier.poison();
     }
   });
 

@@ -2,39 +2,26 @@
 // synchronization.
 //
 // Everything else in this repository *simulates* cost — the machines
-// charge model time but execute serially. This module is the repo's first
-// real-execution path: spawn(p, spmd) runs p program instances on p
+// charge model time but execute serially. This module is the repo's
+// real-execution substrate: spawn(p, spmd) runs p program instances on p
 // distinct OS threads (one per logical processor, dispatched through
-// core::ThreadPool::for_spmd), synchronizing through a real barrier and
-// exchanging data through registered variables in shared memory. It
-// follows the Bulk/mcbsp execution style (SNIPPETS.md snippets 1-2):
+// core::ThreadPool::for_spmd) that synchronize through one shared barrier:
 //
 //   native::spawn(p, [&](native::World& w) {
-//     native::var<Word> x(w, w.pid());
-//     auto f = w.get<Word>((w.pid() + 1) % w.nprocs(), x);   // BSP get
-//     w.put((w.pid() + 1) % w.nprocs(), Word{7}, x);         // BSP put
-//     w.sync();          // barrier; gets read pre-put values, then puts land
-//     use(f.value(), x.value());
+//     out[w.pid()] = compute(w.pid());     // write only your own slot
+//     w.barrier();                         // every write is now visible
+//     use(out[(w.pid() + 1) % w.nprocs()]);
 //   });
 //
-// Semantics mirror BSPlib supersteps:
-//   * var<T> registers one cell per processor under a common slot id; all
-//     processors must construct their vars in the same order (the SPMD
-//     registration discipline), and a var must exist on every processor
-//     before the sync() that precedes its first remote access.
-//   * put(dst, v, x) is buffered: it lands in dst's copy of x during the
-//     next sync(), after all gets have been resolved.
-//   * get(src, x) is buffered: the returned future is filled during the
-//     next sync() with src's value as of the start of that sync (before
-//     any puts of the same superstep land), matching bsp_get.
-//   * Puts are applied in (sender id, issue order) order, so concurrent
-//     puts to the same cell resolve deterministically.
-//   * sync() is collective: every non-finished processor must call it the
-//     same number of times. A processor that returns from the spmd
-//     function stops participating (it leaves the barrier, as bsp_end
-//     does); a processor that throws poisons the barrier so its siblings
-//     unblock (they observe AbortedError) and spawn() rethrows the
-//     original exception.
+// Data moves through ordinary shared memory; the barrier provides the
+// happens-before between one superstep's writes and the next superstep's
+// reads. The barrier is droppable and poisonable:
+//   * a processor that returns from the spmd function stops participating
+//     (it leaves the barrier, as BSPlib's bsp_end does), so siblings with
+//     more supersteps to run never wait for it;
+//   * a processor that throws poisons the barrier so its siblings unblock
+//     (they observe AbortedError) and spawn() rethrows the original
+//     exception.
 //
 // The measured-vs-modeled pipeline on top: native::run_bsp /
 // native::run_logp (bsp_exec.h, logp_exec.h) execute the unmodified
@@ -45,12 +32,10 @@
 #pragma once
 
 #include <condition_variable>
-#include <cstddef>
+#include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
-#include <vector>
 
 #include "src/core/contracts.h"
 #include "src/core/parallel.h"
@@ -58,7 +43,7 @@
 
 namespace bsplogp::native {
 
-/// Thrown out of sync()/arrive_and_wait() on processors parked in a
+/// Thrown out of barrier()/arrive_and_wait() on processors parked in a
 /// barrier that a sibling poisoned (because it failed). spawn() treats it
 /// as secondary: the sibling's original exception is what propagates.
 class AbortedError : public std::runtime_error {
@@ -100,154 +85,30 @@ class Barrier {
   bool poisoned_ = false;
 };
 
-namespace detail {
-
-/// One buffered communication: resolved against the target's registered
-/// cell during sync(). `apply` either writes the put value into the cell
-/// or copies the cell into a future's buffer.
-struct PendingOp {
-  ProcId target = -1;
-  std::size_t slot = 0;
-  std::function<void(void*)> apply;
-};
-
-/// State shared by all processors of one spawn(): the barrier, the
-/// registration tables and the per-sender communication queues. Queues are
-/// single-writer (the owning processor); cross-thread reads happen only
-/// between sync()'s barrier waves, which provide the happens-before.
-struct WorldState {
-  explicit WorldState(ProcId p)
-      : nprocs(p),
-        barrier(p),
-        slots(static_cast<std::size_t>(p)),
-        puts(static_cast<std::size_t>(p)),
-        gets(static_cast<std::size_t>(p)) {}
-
-  const ProcId nprocs;
-  Barrier barrier;
-  std::vector<std::vector<void*>> slots;       // [pid][slot] -> cell
-  std::vector<std::vector<PendingOp>> puts;    // [sender pid]
-  std::vector<std::vector<PendingOp>> gets;    // [requester pid]
-};
-
-}  // namespace detail
-
-template <typename T>
-class var;
-
-/// The value a get() resolves to at the next sync(). Shared-buffer
-/// semantics (copies observe the same resolution), value() is valid after
-/// that sync.
-template <typename T>
-class future {
- public:
-  future() : buffer_(std::make_shared<T>()) {}
-
-  [[nodiscard]] const T& value() const { return *buffer_; }
-
- private:
-  template <typename U>
-  friend class var;
-  friend class World;
-
-  [[nodiscard]] std::shared_ptr<T> buffer() const { return buffer_; }
-
-  std::shared_ptr<T> buffer_;
-};
-
-/// One processor's view of the SPMD world: identity, synchronization, and
-/// the registered-variable communication primitives. Valid only inside the
-/// spmd function it is passed to; not thread-safe (it *is* the thread).
+/// One processor's view of the SPMD world: identity and the collective
+/// barrier. Valid only inside the spmd function it is passed to.
 class World {
  public:
-  [[nodiscard]] ProcId pid() const { return pid_; }
-  [[nodiscard]] ProcId nprocs() const { return state_->nprocs; }
-
-  /// The collective superstep boundary: barrier, then resolve all buffered
-  /// gets (reading pre-put values), then apply all buffered puts in
-  /// (sender id, issue order) order, then release everyone into the next
-  /// superstep. Three barrier waves total.
-  void sync();
-
-  /// Raw barrier without communication resolution: the building block for
-  /// executors (bsp_exec) that manage their own exchange buffers. Buffered
-  /// puts/gets stay buffered.
-  void barrier() { state_->barrier.arrive_and_wait(); }
-
-  /// Buffers value `v` for delivery into `dst`'s copy of `x` at the next
-  /// sync(). `x` names the caller's own copy; the slot id addresses the
-  /// destination copy.
-  template <typename T>
-  void put(ProcId dst, T v, const var<T>& x);
-
-  /// Buffers a read of `src`'s copy of `x`; the returned future resolves
-  /// at the next sync() with the value before that sync's puts.
-  template <typename T>
-  [[nodiscard]] future<T> get(ProcId src, const var<T>& x);
-
-  /// Constructed by spawn(); binds processor `pid`'s view of `state`.
-  World(detail::WorldState* state, ProcId pid) : state_(state), pid_(pid) {}
+  /// Constructed by spawn(); binds processor `pid` of `nprocs` to the
+  /// group's shared barrier.
+  World(Barrier& barrier, ProcId nprocs, ProcId pid)
+      : barrier_(barrier), nprocs_(nprocs), pid_(pid) {}
   World(const World&) = delete;
   World& operator=(const World&) = delete;
 
+  [[nodiscard]] ProcId pid() const { return pid_; }
+  [[nodiscard]] ProcId nprocs() const { return nprocs_; }
+
+  /// The collective superstep boundary: blocks until every processor still
+  /// running has arrived. Executors (bsp_exec) exchange data through their
+  /// own buffers between two barriers.
+  void barrier() { barrier_.arrive_and_wait(); }
+
  private:
-  template <typename T>
-  friend class var;
-
-  [[nodiscard]] std::size_t register_slot(void* cell) {
-    auto& table = state_->slots[static_cast<std::size_t>(pid_)];
-    table.push_back(cell);
-    return table.size() - 1;
-  }
-  void release_slot(std::size_t slot) {
-    state_->slots[static_cast<std::size_t>(pid_)][slot] = nullptr;
-  }
-
-  detail::WorldState* state_;
+  Barrier& barrier_;
+  ProcId nprocs_;
   ProcId pid_;
 };
-
-/// A registered per-processor cell (Bulk-style). Every processor holds its
-/// own copy; constructing one registers the local copy under the next slot
-/// id, so construction order must be identical across processors.
-template <typename T>
-class var {
- public:
-  explicit var(World& world, T init = T{})
-      : world_(world), value_(std::move(init)),
-        slot_(world.register_slot(&value_)) {}
-  ~var() { world_.release_slot(slot_); }
-
-  var(const var&) = delete;
-  var& operator=(const var&) = delete;
-
-  [[nodiscard]] T& value() { return value_; }
-  [[nodiscard]] const T& value() const { return value_; }
-  [[nodiscard]] std::size_t slot() const { return slot_; }
-
- private:
-  World& world_;
-  T value_;
-  std::size_t slot_;
-};
-
-template <typename T>
-void World::put(ProcId dst, T v, const var<T>& x) {
-  BSPLOGP_EXPECTS(dst >= 0 && dst < nprocs());
-  state_->puts[static_cast<std::size_t>(pid_)].push_back(detail::PendingOp{
-      dst, x.slot(),
-      [v = std::move(v)](void* cell) { *static_cast<T*>(cell) = v; }});
-}
-
-template <typename T>
-future<T> World::get(ProcId src, const var<T>& x) {
-  BSPLOGP_EXPECTS(src >= 0 && src < nprocs());
-  future<T> f;
-  state_->gets[static_cast<std::size_t>(pid_)].push_back(detail::PendingOp{
-      src, x.slot(),
-      [buf = f.buffer()](void* cell) { *buf = *static_cast<T*>(cell); }});
-  return f;
-}
 
 /// Runs `spmd` as p concurrent program instances, one per OS thread
 /// (core::ThreadPool::for_spmd), and blocks until all return. With a null

@@ -75,12 +75,6 @@ Partitioning::Partitioning(Scheme scheme, Point global_shape, Grid grid,
   }
 }
 
-Index Partitioning::global_count() const {
-  Index total = 1;
-  for (const Index n : shape_) total *= n;
-  return total;
-}
-
 ProcId Partitioning::owner(const Point& g) const {
   BSPLOGP_EXPECTS(g.size() == shape_.size());
   Point c(g.size());

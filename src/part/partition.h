@@ -109,9 +109,6 @@ class Partitioning {
     return axes_[static_cast<std::size_t>(d)];
   }
 
-  /// Total number of global indices.
-  [[nodiscard]] Index global_count() const;
-
   /// Rank of the processor owning global point `g`.
   [[nodiscard]] ProcId owner(const Point& g) const;
 

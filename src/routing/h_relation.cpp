@@ -95,19 +95,6 @@ HRelation random_regular(ProcId p, Time h, core::Rng& rng) {
   return rel;
 }
 
-HRelation random_sends(ProcId p, Time h, core::Rng& rng) {
-  BSPLOGP_EXPECTS(p >= 2);
-  HRelation rel(p);
-  for (ProcId i = 0; i < p; ++i)
-    for (Time k = 0; k < h; ++k) {
-      auto dst = static_cast<ProcId>(
-          rng.below(static_cast<std::uint64_t>(p - 1)));
-      if (dst >= i) ++dst;
-      rel.add(i, dst, static_cast<Word>(k));
-    }
-  return rel;
-}
-
 HRelation random_permutation(ProcId p, core::Rng& rng, double fill) {
   BSPLOGP_EXPECTS(p >= 2);
   BSPLOGP_EXPECTS(fill >= 0.0 && fill <= 1.0);

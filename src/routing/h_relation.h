@@ -50,12 +50,6 @@ class HRelation {
 /// receives exactly h messages.
 [[nodiscard]] HRelation random_regular(ProcId p, Time h, core::Rng& rng);
 
-/// Every processor sends its full quota of h messages to uniformly random
-/// destinations: out-degree exactly h, in-degree binomial (max typically
-/// h + O(sqrt(h log p))). The natural "degree known in advance" workload of
-/// Theorem 3.
-[[nodiscard]] HRelation random_sends(ProcId p, Time h, core::Rng& rng);
-
 /// A single random partial permutation (a 1-relation) over a fraction of
 /// the processors.
 [[nodiscard]] HRelation random_permutation(ProcId p, core::Rng& rng,

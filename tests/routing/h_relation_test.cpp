@@ -38,14 +38,6 @@ TEST(HRelation, RandomRegularHasExactDegree) {
   }
 }
 
-TEST(HRelation, RandomSendsHasExactOutDegree) {
-  core::Rng rng(4);
-  const HRelation rel = random_sends(16, 10, rng);
-  for (const Time d : rel.out_degrees()) EXPECT_EQ(d, 10);
-  EXPECT_GE(rel.max_in_degree(), 10);  // some processor is above average
-  for (const Message& m : rel.messages()) EXPECT_NE(m.src, m.dst);
-}
-
 TEST(HRelation, RandomPermutationIsOneRelation) {
   core::Rng rng(5);
   for (int trial = 0; trial < 20; ++trial) {

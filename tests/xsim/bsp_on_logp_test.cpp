@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 #include <vector>
 
 #include "src/algo/bsp_algorithms.h"
@@ -26,7 +27,8 @@ void expect_clean(const BspOnLogpReport& rep) {
 }
 
 TEST(BspOnLogp, PrefixScanMatchesNativeBsp) {
-  for (const ProcId p : {2, 4, 8, 16}) {
+  // Non-power-of-two p exercises the Columnsort path end to end.
+  for (const ProcId p : {2, 3, 4, 5, 6, 7, 8, 16}) {
     const logp::Params prm{8, 1, 2};
     std::vector<Word> in(static_cast<std::size_t>(p));
     for (ProcId i = 0; i < p; ++i)
@@ -51,12 +53,22 @@ TEST(BspOnLogp, PrefixScanMatchesNativeBsp) {
 TEST(BspOnLogp, BroadcastRecordsExpectedDegrees) {
   const ProcId p = 8;
   const logp::Params prm{8, 1, 2};
-  std::vector<Word> out;
-  auto progs = algo::bsp_broadcast_direct(p, 55, out);
+  std::vector<Word> out(static_cast<std::size_t>(p), 0);
+  auto progs = bsp::make_programs(p, [&out, p](bsp::Ctx& c) {
+    if (c.superstep() == 0) {
+      if (c.pid() == 0)
+        for (ProcId d = 1; d < p; ++d) c.send(d, 55);
+      return true;
+    }
+    if (c.pid() != 0)
+      out[static_cast<std::size_t>(c.pid())] = c.inbox()[0].payload;
+    return false;
+  });
   BspOnLogp sim(p, prm);
   const BspOnLogpReport rep = sim.run(progs);
   expect_clean(rep);
-  for (const Word w : out) EXPECT_EQ(w, 55);
+  for (ProcId i = 1; i < p; ++i)
+    EXPECT_EQ(out[static_cast<std::size_t>(i)], 55);
   // Superstep 0 routes the (p-1)-relation: r = p-1 sends from the root,
   // every receiver gets exactly 1, so s = 1 and h = p-1.
   ASSERT_GE(rep.steps.size(), 1u);
@@ -116,25 +128,6 @@ TEST(BspOnLogp, OddEvenSortMatchesNativeBsp) {
   EXPECT_EQ(sim_out, native_out);
 }
 
-TEST(BspOnLogp, AllReduceOnNonPowerOfTwoProcessorCount) {
-  // Non-power-of-two p exercises the Columnsort path end to end.
-  for (const ProcId p : {3, 5, 6, 7}) {
-    const logp::Params prm{8, 1, 2};
-    std::vector<Word> in(static_cast<std::size_t>(p));
-    Word expect = 0;
-    for (ProcId i = 0; i < p; ++i) {
-      in[static_cast<std::size_t>(i)] = i * i + 1;
-      expect += i * i + 1;
-    }
-    std::vector<Word> out;
-    auto progs = algo::bsp_allreduce(p, in, ReduceOp::Sum, out);
-    BspOnLogp sim(p, prm);
-    const BspOnLogpReport rep = sim.run(progs);
-    expect_clean(rep);
-    for (const Word w : out) EXPECT_EQ(w, expect) << "p=" << p;
-  }
-}
-
 TEST(BspOnLogp, ForcedColumnsortMatchesForcedBitonic) {
   const ProcId p = 4;
   const logp::Params prm{8, 1, 2};
@@ -158,24 +151,54 @@ TEST(BspOnLogp, ForcedColumnsortMatchesForcedBitonic) {
   EXPECT_EQ(a, c);
 }
 
-TEST(BspOnLogp, MatvecMatchesNativeBsp) {
-  const ProcId p = 4;
-  const std::int64_t n = 16;
-  const logp::Params prm{12, 2, 3};
-  std::vector<Word> x(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) x[static_cast<std::size_t>(i)] = i;
+TEST(BspOnLogp, LopsidedRadixRoundsRunStallFree) {
+  // Section 6's remark: the irregular relations of a radix sort can violate
+  // the capacity constraint. Two LSD base-p rounds route every key to the
+  // processor named by its current digit; with keys in [0, 2p) the second
+  // round sends all of them to processors 0 and 1, so its receive degree
+  // far exceeds ceil(L/G). Theorem 2's protocol must still run stall-free.
+  const ProcId p = 8;
+  const logp::Params prm{8, 1, 2};  // capacity 4
+  core::Rng rng(47);
+  std::vector<std::vector<Word>> keys(static_cast<std::size_t>(p));
+  std::vector<Word> all;
+  for (auto& mine : keys)
+    for (int j = 0; j < 10; ++j) {
+      mine.push_back(rng.uniform(0, 2 * p - 1));
+      all.push_back(mine.back());
+    }
+  std::sort(all.begin(), all.end());
 
-  std::vector<Word> native_y;
-  auto native_progs = algo::bsp_matvec(p, n, x, 9, native_y);
-  bsp::Machine native(p, bsp::Params{1, 1});
-  (void)native.run(native_progs);
-
-  std::vector<Word> sim_y;
-  auto sim_progs = algo::bsp_matvec(p, n, x, 9, sim_y);
+  auto progs = bsp::make_programs(p, [&keys, p](bsp::Ctx& c) {
+    auto& mine = keys[static_cast<std::size_t>(c.pid())];
+    if (c.superstep() > 0) {
+      // Collect the previous round stably: order by (sender, index).
+      std::vector<Message> in(c.inbox().begin(), c.inbox().end());
+      std::sort(in.begin(), in.end(), [](const Message& a, const Message& b) {
+        return std::tie(a.src, a.tag) < std::tie(b.src, b.tag);
+      });
+      c.charge(static_cast<Time>(in.size()));
+      mine.clear();
+      for (const Message& m : in) mine.push_back(m.payload);
+    }
+    if (c.superstep() == 2) return false;
+    const Word divisor = c.superstep() == 0 ? 1 : p;
+    for (std::size_t j = 0; j < mine.size(); ++j)
+      c.send(static_cast<ProcId>(mine[j] / divisor % p), mine[j],
+             static_cast<std::int32_t>(j));
+    return true;
+  });
   BspOnLogp sim(p, prm);
-  const BspOnLogpReport rep = sim.run(sim_progs);
+  const BspOnLogpReport rep = sim.run(progs);
   expect_clean(rep);
-  EXPECT_EQ(sim_y, native_y);
+  std::vector<Word> got;
+  for (const auto& mine : keys)
+    got.insert(got.end(), mine.begin(), mine.end());
+  EXPECT_EQ(got, all);
+  EXPECT_TRUE(std::any_of(rep.steps.begin(), rep.steps.end(),
+                          [&](const BspOnLogpReport::SuperstepInfo& st) {
+                            return st.s > prm.capacity();
+                          }));
 }
 
 TEST(BspOnLogp, ResultsStableAcrossEnginePolicies) {
@@ -206,11 +229,12 @@ TEST(BspOnLogp, LargerCapacityParamsStayClean) {
   const logp::Params prm{32, 2, 4};  // capacity 8
   std::vector<Word> in(static_cast<std::size_t>(p), 1);
   std::vector<Word> out;
-  auto progs = algo::bsp_allreduce(p, in, ReduceOp::Sum, out);
+  auto progs = algo::bsp_prefix_scan(p, in, ReduceOp::Sum, out);
   BspOnLogp sim(p, prm);
   const BspOnLogpReport rep = sim.run(progs);
   expect_clean(rep);
-  for (const Word w : out) EXPECT_EQ(w, p);
+  for (ProcId i = 0; i < p; ++i)
+    EXPECT_EQ(out[static_cast<std::size_t>(i)], i + 1);
 }
 
 TEST(BspOnLogp, CapacityOneParamsStayCorrect) {
@@ -267,8 +291,9 @@ TEST(BspOnLogp, UnclockedCyclesStallButStayCorrect) {
 TEST(BspOnLogp, ReferenceTimeAndSlowdownArePositive) {
   const ProcId p = 8;
   const logp::Params prm{8, 1, 2};
+  std::vector<Word> in(static_cast<std::size_t>(p), 7);
   std::vector<Word> out;
-  auto progs = algo::bsp_broadcast_direct(p, 7, out);
+  auto progs = algo::bsp_prefix_scan(p, in, ReduceOp::Sum, out);
   BspOnLogp sim(p, prm);
   const BspOnLogpReport rep = sim.run(progs);
   EXPECT_GT(rep.bsp_reference_time(bsp::Params{prm.G, prm.L}), 0);
