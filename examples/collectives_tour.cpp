@@ -1,10 +1,12 @@
 // A tour of the LogP collective library (Section 4.1 and the Karp-et-al
 // algorithms the paper cites): CB, barrier, tree and greedy broadcast,
 // time-reversed reduction, prefix scan, scatter and gather — each with its
-// exact model-time cost on the same machine. Exits 1 (after printing) if
-// any processor's CB sum misses the "(expect ...)" value.
+// exact model-time cost on the same machine. Every row's "result" is
+// checked against what each processor's collective returned; main exits 1
+// (after printing) and names each row that missed.
 #include <algorithm>
 #include <iostream>
+#include <utility>
 
 #include "src/algo/logp_broadcast_opt.h"
 #include "src/algo/logp_collectives.h"
@@ -17,7 +19,12 @@ using namespace bsplogp;
 
 namespace {
 
-constexpr Word kCbSum = 2080;  // 1 + 2 + ... + 64
+constexpr Word kSum = 2080;  // 1 + 2 + ... + 64, what CB and reduce_opt sum
+constexpr Word kUnset = -1;  // no collective here returns it
+
+/// What the processors' collectives returned: program i stores its value
+/// at [i] (gather stores the root's whole vector).
+using Results = std::vector<Word>;
 
 struct Row {
   std::string name;
@@ -25,16 +32,30 @@ struct Row {
   std::int64_t messages = 0;
   bool stall_free = true;
   std::string result;
+  bool ok = false;  // the returned values match `result`
 };
 
-template <typename MakeProgs>
+/// Runs make(got)'s programs, then asks check(got) whether they computed
+/// what the row's `result` says.
+template <typename MakeProgs, typename Check>
 Row run(const std::string& name, ProcId p, const logp::Params& prm,
-        MakeProgs make, std::string result) {
+        MakeProgs make, std::string result, Check check) {
+  Results got(static_cast<std::size_t>(p), kUnset);
   logp::Machine m(p, prm);
-  const logp::RunStats st = m.run(make());
+  const logp::RunStats st = m.run(make(got));
   return Row{name, st.finish_time, st.messages, st.stall_free(),
-             std::move(result)};
+             std::move(result), check(got)};
 }
+
+/// True iff got[i] == want(i) for every i.
+template <typename Want>
+bool every(const Results& got, Want want) {
+  for (std::size_t i = 0; i < got.size(); ++i)
+    if (got[i] != want(static_cast<Word>(i))) return false;
+  return true;
+}
+
+Word& at(Results& got, ProcId i) { return got[static_cast<std::size_t>(i)]; }
 
 }  // namespace
 
@@ -48,97 +69,130 @@ int main() {
   std::vector<Row> rows;
 
   std::vector<Word> cb_results;
-  rows.push_back(run("combine_broadcast (sum)", p, prm, [&] {
+  rows.push_back(run("combine_broadcast (sum)", p, prm, [&](Results&) {
     // The registry's cb-rounds family, contribution i+1 per processor.
     return workload::cb_rounds(
         p, /*rounds=*/1, algo::ReduceOp::Sum,
         [](ProcId i) { return static_cast<Word>(i) + 1; }, &cb_results);
-  }, "sum 1..64 = 2080"));
+  }, "sum 1..64 = 2080", [&](const Results&) {
+    return every(cb_results, [](Word) { return kSum; });
+  }));
 
-  rows.push_back(run("barrier", p, prm, [&] {
+  // joined[i] and got[i]: the model times processor i enters and leaves
+  // the barrier.
+  Results joined(static_cast<std::size_t>(p), kUnset);
+  rows.push_back(run("barrier", p, prm, [&](Results& got) {
     std::vector<logp::ProgramFn> progs;
     for (ProcId i = 0; i < p; ++i)
-      progs.emplace_back([i](logp::Proc& pr) -> logp::Task<> {
+      progs.emplace_back([i, &got, &joined](logp::Proc& pr) -> logp::Task<> {
         co_await pr.compute((i * 13) % 50);  // staggered joins
+        at(joined, i) = pr.now();
         algo::Mailbox mb(pr);
         co_await algo::barrier(mb);
+        at(got, i) = pr.now();
       });
     return progs;
-  }, "releases after last join"));
+  }, "releases after last join", [&](const Results& got) {
+    const Word last = *std::max_element(joined.begin(), joined.end());
+    return last != kUnset &&
+           std::all_of(got.begin(), got.end(),
+                       [last](Word left) { return left >= last; });
+  }));
 
-  rows.push_back(run("tree_broadcast", p, prm, [&] {
+  auto everywhere = [](Word v) {
+    return [v](const Results& got) {
+      return every(got, [v](Word) { return v; });
+    };
+  };
+  rows.push_back(run("tree_broadcast", p, prm, [&](Results& got) {
     std::vector<logp::ProgramFn> progs;
     for (ProcId i = 0; i < p; ++i)
-      progs.emplace_back([i](logp::Proc& pr) -> logp::Task<> {
+      progs.emplace_back([i, &got](logp::Proc& pr) -> logp::Task<> {
         algo::Mailbox mb(pr);
-        (void)co_await algo::tree_broadcast(mb, i == 0 ? 42 : 0);
+        at(got, i) = co_await algo::tree_broadcast(mb, i == 0 ? 42 : 0);
       });
     return progs;
-  }, "42 everywhere"));
+  }, "42 everywhere", everywhere(42)));
 
-  rows.push_back(run("broadcast_opt (greedy)", p, prm, [&] {
+  rows.push_back(run("broadcast_opt (greedy)", p, prm, [&](Results& got) {
     std::vector<logp::ProgramFn> progs;
     for (ProcId i = 0; i < p; ++i)
-      progs.emplace_back([i, &sched](logp::Proc& pr) -> logp::Task<> {
+      progs.emplace_back([i, &sched, &got](logp::Proc& pr) -> logp::Task<> {
         algo::Mailbox mb(pr);
-        (void)co_await algo::broadcast_opt(mb, i == 0 ? 42 : 0, sched);
+        at(got, i) =
+            co_await algo::broadcast_opt(mb, i == 0 ? 42 : 0, sched);
       });
     return progs;
-  }, "42 everywhere"));
+  }, "42 everywhere", everywhere(42)));
 
-  rows.push_back(run("reduce_opt (reversed greedy)", p, prm, [&] {
+  rows.push_back(run("reduce_opt (reversed greedy)", p, prm,
+                     [&](Results& got) {
     std::vector<logp::ProgramFn> progs;
     for (ProcId i = 0; i < p; ++i)
-      progs.emplace_back([i, &sched](logp::Proc& pr) -> logp::Task<> {
+      progs.emplace_back([i, &sched, &got](logp::Proc& pr) -> logp::Task<> {
         algo::Mailbox mb(pr);
-        (void)co_await algo::reduce_opt(mb, i + 1, algo::ReduceOp::Sum,
-                                        sched);
+        at(got, i) = co_await algo::reduce_opt(mb, i + 1,
+                                               algo::ReduceOp::Sum, sched);
       });
     return progs;
-  }, "2080 at the root"));
+  }, "2080 at the root", [](const Results& got) {
+    return got.front() == kSum;
+  }));
 
-  rows.push_back(run("prefix_scan (sum)", p, prm, [&] {
+  rows.push_back(run("prefix_scan (sum)", p, prm, [&](Results& got) {
     std::vector<logp::ProgramFn> progs;
     for (ProcId i = 0; i < p; ++i)
-      progs.emplace_back([i](logp::Proc& pr) -> logp::Task<> {
+      progs.emplace_back([i, &got](logp::Proc& pr) -> logp::Task<> {
         algo::Mailbox mb(pr);
-        (void)co_await algo::prefix_scan(mb, i + 1, algo::ReduceOp::Sum);
+        at(got, i) =
+            co_await algo::prefix_scan(mb, i + 1, algo::ReduceOp::Sum);
       });
     return progs;
-  }, "proc i gets (i+1)(i+2)/2"));
+  }, "proc i gets (i+1)(i+2)/2", [](const Results& got) {
+    return every(got, [](Word i) { return (i + 1) * (i + 2) / 2; });
+  }));
 
   std::vector<Word> values(static_cast<std::size_t>(p));
   for (ProcId i = 0; i < p; ++i)
     values[static_cast<std::size_t>(i)] = 100 + i;
-  rows.push_back(run("scatter", p, prm, [&] {
+  rows.push_back(run("scatter", p, prm, [&](Results& got) {
     std::vector<logp::ProgramFn> progs;
     for (ProcId i = 0; i < p; ++i)
-      progs.emplace_back([&values](logp::Proc& pr) -> logp::Task<> {
+      progs.emplace_back([i, &values, &got](logp::Proc& pr) -> logp::Task<> {
         algo::Mailbox mb(pr);
-        (void)co_await algo::scatter(mb, values);
+        at(got, i) = co_await algo::scatter(mb, values);
       });
     return progs;
-  }, "proc i gets 100+i"));
+  }, "proc i gets 100+i", [](const Results& got) {
+    return every(got, [](Word i) { return 100 + i; });
+  }));
 
-  rows.push_back(run("gather (staggered)", p, prm, [&] {
+  // Gather returns the vector indexed by source at the root alone.
+  auto root_collects_ids = [p](const Results& got) {
+    return std::cmp_equal(got.size(), p) &&
+           every(got, [](Word i) { return i; });
+  };
+  rows.push_back(run("gather (staggered)", p, prm, [&](Results& got) {
     std::vector<logp::ProgramFn> progs;
     for (ProcId i = 0; i < p; ++i)
-      progs.emplace_back([i](logp::Proc& pr) -> logp::Task<> {
+      progs.emplace_back([i, &got](logp::Proc& pr) -> logp::Task<> {
         algo::Mailbox mb(pr);
-        (void)co_await algo::gather(mb, i, /*start=*/0);
+        auto v = co_await algo::gather(mb, i, /*start=*/0);
+        if (i == 0) got = std::move(v);
       });
     return progs;
-  }, "root collects 0..63"));
+  }, "root collects 0..63", root_collects_ids));
 
-  rows.push_back(run("gather (burst, stalls)", p, prm, [&] {
+  rows.push_back(run("gather (burst, stalls)", p, prm, [&](Results& got) {
     std::vector<logp::ProgramFn> progs;
     for (ProcId i = 0; i < p; ++i)
-      progs.emplace_back([i](logp::Proc& pr) -> logp::Task<> {
+      progs.emplace_back([i, &got](logp::Proc& pr) -> logp::Task<> {
         algo::Mailbox mb(pr);
-        (void)co_await algo::gather(mb, i);
+        auto v = co_await algo::gather(mb, i);
+        if (i == 0) got = std::move(v);
       });
     return progs;
-  }, "same data, Stalling Rule pays"));
+  }, "same data, Stalling Rule pays", root_collects_ids));
 
   core::Table table({"collective", "model time", "messages", "stall-free",
                      "result"});
@@ -147,13 +201,15 @@ int main() {
                    r.stall_free ? "yes" : "no", r.result});
   table.print(std::cout);
   std::cout << "\nCB sanity: " << cb_results.front() << " (expect "
-            << kCbSum << "); "
+            << kSum << "); "
             << "T_CB bound (Prop. 2 shape): "
             << algo::cb_time_bound(prm, p) << "\n";
-  if (std::all_of(cb_results.begin(), cb_results.end(),
-                  [](Word v) { return v == kCbSum; }))
-    return 0;
-  std::cerr << "collectives_tour: a processor's CB sum is not " << kCbSum
-            << "\n";
-  return 1;
+  int status = 0;
+  for (const Row& r : rows)
+    if (!r.ok) {
+      std::cerr << "collectives_tour: " << r.name << " missed \"" << r.result
+                << "\"\n";
+      status = 1;
+    }
+  return status;
 }

@@ -36,16 +36,14 @@ ProcId target_of(const Packet& pk) {
 }  // namespace
 
 PacketSim::PacketSim(Topology topology) : topo_(std::move(topology)) {
-  BSPLOGP_EXPECTS(topo_.connected());
-  dist_.reserve(static_cast<std::size_t>(topo_.nprocs()));
-  for (const NodeId node : topo_.processors())
-    dist_.push_back(topo_.distances_from(node));
+  BSPLOGP_EXPECTS(topo_.max_degree() <= kMaxDegree);
+  const auto n = static_cast<std::size_t>(topo_.size());
   std::size_t nlinks = 0;
   for (NodeId v = 0; v < topo_.size(); ++v)
     nlinks += topo_.neighbors(v).size();
   BSPLOGP_EXPECTS(
       std::cmp_less_equal(nlinks, std::numeric_limits<std::int32_t>::max()));
-  link_base_.reserve(static_cast<std::size_t>(topo_.size()) + 1);
+  link_base_.reserve(n + 1);
   link_from_.reserve(nlinks);
   link_to_.reserve(nlinks);
   link_base_.push_back(0);
@@ -55,36 +53,65 @@ PacketSim::PacketSim(Topology topology) : topo_(std::move(topology)) {
     link_to_.insert(link_to_.end(), nb.begin(), nb.end());
     link_base_.push_back(static_cast<std::int32_t>(link_to_.size()));
   }
+
+  // One BFS per destination. When node u is dequeued, every neighbor one
+  // level closer has its distance already, so the loop that discovers u's
+  // new neighbors also completes u's mask: an undiscovered neighbor is one
+  // level farther, and a discovered one is closer iff it sits at du - 1.
+  // The source discovers all its neighbors, so its mask is 0.
+  hop_mask_.resize(static_cast<std::size_t>(topo_.nprocs()) * n);
+  std::vector<NodeId> dist(n);
+  std::vector<NodeId> queue(n);
+  for (std::size_t d = 0; d < topo_.processors().size(); ++d) {
+    std::fill(dist.begin(), dist.end(), -1);
+    const NodeId src = topo_.processors()[d];
+    dist[static_cast<std::size_t>(src)] = 0;
+    queue[0] = src;
+    std::size_t tail = 1;
+    for (std::size_t head = 0; head < tail; ++head) {
+      const auto u = static_cast<std::size_t>(queue[head]);
+      const NodeId du = dist[u];
+      const auto base = static_cast<std::size_t>(link_base_[u]);
+      const auto end = static_cast<std::size_t>(link_base_[u + 1]);
+      std::uint32_t mask = 0;
+      for (std::size_t l = base; l < end; ++l) {
+        const NodeId w = link_to_[l];
+        const NodeId dw = dist[static_cast<std::size_t>(w)];
+        if (dw < 0) {
+          dist[static_cast<std::size_t>(w)] = du + 1;
+          queue[tail++] = w;
+        } else {
+          mask |= std::uint32_t{dw == du - 1} << (l - base);
+        }
+      }
+      hop_mask_[d * n + u] = mask;
+    }
+    // Every node reached from the first source: the graph is connected.
+    if (d == 0) BSPLOGP_EXPECTS(tail == n);
+  }
 }
 
 std::size_t PacketSim::next_link(NodeId at, ProcId dst_proc,
                                  std::uint64_t salt) const {
-  const auto& dist = dist_[static_cast<std::size_t>(dst_proc)];
-  const NodeId here = dist[static_cast<std::size_t>(at)];
-  BSPLOGP_ASSERT(here > 0);
-  // All shortest-path links are admissible; pick one by a salted hash so
-  // different packets spread across the equivalent links. A lone
-  // candidate skips the hash, which would pick it anyway (x % 1 == 0).
-  const auto begin =
-      static_cast<std::size_t>(link_base_[static_cast<std::size_t>(at)]);
-  const auto end =
-      static_cast<std::size_t>(link_base_[static_cast<std::size_t>(at) + 1]);
-  auto on_path = [&](std::size_t l) {
-    return dist[static_cast<std::size_t>(link_to_[l])] == here - 1;
-  };
-  std::size_t first = end;
-  std::uint64_t candidates = 0;
-  for (std::size_t l = begin; l < end; ++l)
-    if (on_path(l) && candidates++ == 0) first = l;
-  BSPLOGP_ASSERT(candidates > 0);
-  if (candidates == 1) return first;
-  std::uint64_t mix = salt ^ (static_cast<std::uint64_t>(at) << 32) ^
-                      static_cast<std::uint64_t>(dst_proc);
-  std::uint64_t pick = core::splitmix64(mix) % candidates;
-  for (std::size_t l = first; l < end; ++l)
-    if (on_path(l) && pick-- == 0) return l;
-  BSPLOGP_ASSERT(false);
-  return first;
+  std::uint32_t mask =
+      hop_mask_[static_cast<std::size_t>(dst_proc) *
+                    static_cast<std::size_t>(topo_.size()) +
+                static_cast<std::size_t>(at)];
+  BSPLOGP_ASSERT(mask != 0);
+  // All shortest-path links are admissible; pick the k-th in link order by
+  // a salted hash so different packets spread across the equivalent links.
+  // A lone candidate skips the hash, which would pick it anyway
+  // (x % 1 == 0).
+  if ((mask & (mask - 1)) != 0) {
+    const auto candidates = static_cast<std::uint64_t>(std::popcount(mask));
+    std::uint64_t mix = salt ^ (static_cast<std::uint64_t>(at) << 32) ^
+                        static_cast<std::uint64_t>(dst_proc);
+    for (std::uint64_t pick = core::splitmix64(mix) % candidates; pick > 0;
+         --pick)
+      mask &= mask - 1;  // drop the lowest candidate
+  }
+  return static_cast<std::size_t>(link_base_[static_cast<std::size_t>(at)]) +
+         static_cast<std::size_t>(std::countr_zero(mask));
 }
 
 PacketSim::Result PacketSim::route(const routing::HRelation& rel,

@@ -31,9 +31,13 @@ class PacketSim {
     Time max_steps = 10'000'000;
   };
 
-  /// Precomputes per-destination distance fields (BFS from every processor
-  /// node) and numbers the directed links. The topology is copied, so the
-  /// simulator owns its world.
+  /// The widest node a next-hop mask can describe: one bit per link.
+  static constexpr NodeId kMaxDegree = 32;
+
+  /// Numbers the directed links and precomputes, by one BFS from every
+  /// processor node, which links of each node lead one hop closer to that
+  /// processor. The topology is copied, so the simulator owns its world.
+  /// Requires a connected topology with max_degree() <= kMaxDegree.
   explicit PacketSim(Topology topology);
 
   struct Result {
@@ -58,14 +62,15 @@ class PacketSim {
                                       std::uint64_t salt) const;
 
   Topology topo_;
-  /// dist_[d][v]: hops from node v to processor d's node.
-  std::vector<std::vector<NodeId>> dist_;
   /// Directed links in (node, neighbor index) order: node v's links are
   /// link_base_[v] .. link_base_[v + 1] - 1, and link l runs from
   /// link_from_[l] to link_to_[l].
   std::vector<std::int32_t> link_base_;
   std::vector<NodeId> link_from_;
   std::vector<NodeId> link_to_;
+  /// hop_mask_[d * size + v]: bit k is set iff link link_base_[v] + k leads
+  /// one hop closer to processor d's node (0 at that node itself).
+  std::vector<std::uint32_t> hop_mask_;
 };
 
 /// Sweeps h over `hs`, routing `trials` random h-regular relations per

@@ -185,7 +185,9 @@ TEST(PacketSim, GoldenResultsPerTopology) {
   // Every Result field of 12 routes per (kind, p): random h-regular
   // relations at h = 1, 8, 32, each routed direct and via Valiant at route
   // seeds 3 and 11. The pins catch any change to queue order, tie-breaks,
-  // Valiant's draws or the max_queue high-water mark.
+  // Valiant's draws or the max_queue high-water mark. The p = 256
+  // hypercubes are the only rows whose nodes have 7 or 8 shortest-path
+  // candidates.
   struct Golden {
     TopologyKind kind;
     ProcId p;
@@ -210,6 +212,8 @@ TEST(PacketSim, GoldenResultsPerTopology) {
       {TopologyKind::ShuffleExchange, 64, 0x2cdf7c3550e24d43ULL},
       {TopologyKind::MeshOfTrees, 16, 0xc67baa28a9c2cbecULL},
       {TopologyKind::MeshOfTrees, 64, 0xc77edf041bf6965cULL},
+      {TopologyKind::HypercubeMulti, 256, 0x47fd6e5a6d42b3edULL},
+      {TopologyKind::HypercubeSingle, 256, 0xbce11bea8d016427ULL},
   };
   for (const Golden& g : kGolden) {
     const PacketSim sim(make_topology(g.kind, g.p));
@@ -235,6 +239,21 @@ TEST(PacketSim, GoldenResultsPerTopology) {
         << to_string(g.kind) << " p=" << g.p << std::hex << " 0x"
         << h.value();
   }
+}
+
+TEST(PacketSimDeathTest, RejectsNodesWiderThanTheHopMask) {
+  // A star whose hub has one link more than a next-hop mask has bits.
+  const NodeId leaves = PacketSim::kMaxDegree + 1;
+  std::vector<std::vector<NodeId>> adj(static_cast<std::size_t>(leaves) + 1);
+  std::vector<NodeId> procs;
+  for (NodeId leaf = 1; leaf <= leaves; ++leaf) {
+    adj[0].push_back(leaf);
+    adj[static_cast<std::size_t>(leaf)].push_back(0);
+    procs.push_back(leaf);
+  }
+  Topology star(TopologyKind::MeshOfTrees, leaves + 1, std::move(adj),
+                std::move(procs));
+  EXPECT_DEATH(PacketSim{std::move(star)}, "kMaxDegree");
 }
 
 TEST(PacketSim, DeterministicPerSeed) {

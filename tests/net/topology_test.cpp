@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "src/net/packet_sim.h"
+
 namespace bsplogp::net {
 namespace {
 
@@ -116,6 +118,20 @@ INSTANTIATE_TEST_SUITE_P(
       std::erase(name, '-');
       return name;
     });
+
+TEST(Topology, EveryKindFitsPacketSimHopMasksAtMaxP) {
+  // The benches build p <= 256 and topology_params accepts p <= 4096.
+  // Only the hypercube's degree keeps growing with p (log p), so no
+  // topology the repo builds is wider than these, and PacketSim's degree
+  // precondition never fires.
+  for (const auto kind :
+       {TopologyKind::Ring, TopologyKind::Mesh2D, TopologyKind::Mesh3D,
+        TopologyKind::HypercubeMulti, TopologyKind::HypercubeSingle,
+        TopologyKind::Butterfly, TopologyKind::CubeConnectedCycles,
+        TopologyKind::ShuffleExchange, TopologyKind::MeshOfTrees})
+    EXPECT_LE(make_topology(kind, 4096).max_degree(), PacketSim::kMaxDegree)
+        << to_string(kind);
+}
 
 TEST(Topology, DiameterTracksAnalyticDelta) {
   // Within each family the measured diameter should scale like delta(p).
