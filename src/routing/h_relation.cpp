@@ -64,10 +64,12 @@ HRelation random_messages(ProcId p, std::int64_t m, core::Rng& rng) {
 
 namespace {
 
-/// Random permutation of 0..p-1 with no fixed points (fixed points are
-/// repaired by swapping with a neighbor, preserving permutation-ness).
-std::vector<ProcId> random_derangement(ProcId p, core::Rng& rng) {
-  std::vector<ProcId> perm(static_cast<std::size_t>(p));
+/// Fills `perm` with a random permutation of 0..p-1 with no fixed points
+/// (fixed points are repaired by swapping with a neighbor, preserving
+/// permutation-ness). `perm` is the caller's buffer, so a caller that
+/// draws many rounds allocates it once.
+void random_derangement(ProcId p, core::Rng& rng, std::vector<ProcId>& perm) {
+  perm.resize(static_cast<std::size_t>(p));
   std::iota(perm.begin(), perm.end(), 0);
   std::shuffle(perm.begin(), perm.end(), rng);
   for (ProcId i = 0; i < p; ++i) {
@@ -77,7 +79,6 @@ std::vector<ProcId> random_derangement(ProcId p, core::Rng& rng) {
                 perm[static_cast<std::size_t>(j)]);
     }
   }
-  return perm;
 }
 
 }  // namespace
@@ -86,11 +87,12 @@ HRelation random_regular(ProcId p, Time h, core::Rng& rng) {
   BSPLOGP_EXPECTS(p >= 2);
   BSPLOGP_EXPECTS(h >= 0);
   HRelation rel(p);
+  rel.reserve(static_cast<std::size_t>(p) * static_cast<std::size_t>(h));
+  std::vector<ProcId> perm;
   for (Time round = 0; round < h; ++round) {
-    const auto perm = random_derangement(p, rng);
+    random_derangement(p, rng, perm);
     for (ProcId i = 0; i < p; ++i)
-      rel.add(i, perm[static_cast<std::size_t>(i)],
-              round * p + i);
+      rel.add(i, perm[static_cast<std::size_t>(i)], round * p + i);
   }
   return rel;
 }
@@ -99,7 +101,8 @@ HRelation random_permutation(ProcId p, core::Rng& rng, double fill) {
   BSPLOGP_EXPECTS(p >= 2);
   BSPLOGP_EXPECTS(fill >= 0.0 && fill <= 1.0);
   HRelation rel(p);
-  const auto perm = random_derangement(p, rng);
+  std::vector<ProcId> perm;
+  random_derangement(p, rng, perm);
   for (ProcId i = 0; i < p; ++i)
     if (rng.uniform01() < fill)
       rel.add(i, perm[static_cast<std::size_t>(i)], i);

@@ -24,6 +24,9 @@ class HRelation {
   [[nodiscard]] std::size_t size() const { return messages_.size(); }
 
   void add(ProcId src, ProcId dst, Word payload = 0, std::int32_t tag = 0);
+  /// Room for `n` messages, so a generator that knows its size writes each
+  /// message once.
+  void reserve(std::size_t n) { messages_.reserve(n); }
 
   /// Messages sent by / destined to each processor.
   [[nodiscard]] std::vector<Time> out_degrees() const;

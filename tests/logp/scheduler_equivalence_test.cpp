@@ -21,6 +21,7 @@
 #include "src/logp/machine.h"
 #include "src/trace/sink.h"
 #include "src/workload/workload.h"
+#include "tests/support/fnv64.h"
 
 namespace bsplogp::logp {
 namespace {
@@ -81,21 +82,7 @@ TEST(SchedulerEquivalence, InvariantsHoldUnderStress) {
     }
 }
 
-/// FNV-1a over 64-bit words, little-endian byte order.
-class Fnv64 {
- public:
-  void add(std::int64_t v) {
-    const auto u = static_cast<std::uint64_t>(v);
-    for (int byte = 0; byte < 8; ++byte) {
-      h_ ^= (u >> (8 * byte)) & 0xff;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
+using testsupport::Fnv64;
 
 std::uint64_t hash_stats(const RunStats& st) {
   Fnv64 h;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/rng.h"
+#include "tests/support/fnv64.h"
 
 namespace bsplogp::net {
 namespace {
@@ -165,21 +166,7 @@ TEST(PacketSim, DirectRoutesWalkShortestPaths) {
   }
 }
 
-/// FNV-1a over 64-bit words, little-endian byte order.
-class Fnv64 {
- public:
-  void add(std::int64_t v) {
-    const auto u = static_cast<std::uint64_t>(v);
-    for (int byte = 0; byte < 8; ++byte) {
-      h_ ^= (u >> (8 * byte)) & 0xff;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
+using testsupport::Fnv64;
 
 TEST(PacketSim, GoldenResultsPerTopology) {
   // Every Result field of 12 routes per (kind, p): random h-regular

@@ -2,12 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "src/net/packet_sim.h"
 
 namespace bsplogp::net {
 namespace {
+
+/// No node is unreachable from node 0.
+bool reaches_every_node(const Topology& t) {
+  const auto dist = t.distances_from(0);
+  return std::none_of(dist.begin(), dist.end(),
+                      [](NodeId d) { return d < 0; });
+}
 
 TEST(Topology, RingShape) {
   const Topology t = make_topology(TopologyKind::Ring, 10);
@@ -15,7 +24,7 @@ TEST(Topology, RingShape) {
   EXPECT_EQ(t.nprocs(), 10);
   EXPECT_EQ(t.max_degree(), 2);
   EXPECT_EQ(t.diameter(), 5);
-  EXPECT_TRUE(t.connected());
+  EXPECT_TRUE(reaches_every_node(t));
 }
 
 TEST(Topology, Mesh2DShape) {
@@ -34,7 +43,7 @@ TEST(Topology, Mesh3DShape) {
   const Topology t = make_topology(TopologyKind::Mesh3D, 27);
   EXPECT_EQ(t.size(), 27);
   EXPECT_EQ(t.max_degree(), 6);
-  EXPECT_TRUE(t.connected());
+  EXPECT_TRUE(reaches_every_node(t));
 }
 
 TEST(Topology, HypercubeShape) {
@@ -52,7 +61,7 @@ TEST(Topology, ButterflyShape) {
   // n * 2^n >= 32: n = 3 gives 24 < 32, n = 4 gives 64.
   EXPECT_EQ(t.size(), 64);
   EXPECT_EQ(t.max_degree(), 4);  // 2 forward + 2 backward edges
-  EXPECT_TRUE(t.connected());
+  EXPECT_TRUE(reaches_every_node(t));
   EXPECT_GE(t.diameter(), 4);
   EXPECT_LE(t.diameter(), 10);  // O(n)
 }
@@ -61,14 +70,14 @@ TEST(Topology, CccShape) {
   const Topology t = make_topology(TopologyKind::CubeConnectedCycles, 24);
   EXPECT_EQ(t.size(), 24);  // 3 * 2^3
   EXPECT_EQ(t.max_degree(), 3);
-  EXPECT_TRUE(t.connected());
+  EXPECT_TRUE(reaches_every_node(t));
 }
 
 TEST(Topology, ShuffleExchangeShape) {
   const Topology t = make_topology(TopologyKind::ShuffleExchange, 16);
   EXPECT_EQ(t.size(), 16);
   EXPECT_LE(t.max_degree(), 3);
-  EXPECT_TRUE(t.connected());
+  EXPECT_TRUE(reaches_every_node(t));
   EXPECT_LE(t.diameter(), 2 * 4);  // 2 log p
 }
 
@@ -77,7 +86,7 @@ TEST(Topology, MeshOfTreesShape) {
   EXPECT_EQ(t.nprocs(), 16);            // 4x4 leaves
   EXPECT_GT(t.size(), t.nprocs());      // internal tree nodes exist
   EXPECT_EQ(t.size(), 16 + 2 * 4 * 3);  // 2 * side * (side - 1) internals
-  EXPECT_TRUE(t.connected());
+  EXPECT_TRUE(reaches_every_node(t));
   // Leaves sit in one row tree and one column tree.
   for (ProcId i = 0; i < 16; ++i)
     EXPECT_EQ(t.neighbors(t.processors()[static_cast<std::size_t>(i)]).size(),
@@ -90,7 +99,7 @@ TEST_P(AllTopologies, BasicInvariants) {
   for (const ProcId p : {8, 16, 64}) {
     const Topology t = make_topology(GetParam(), p);
     EXPECT_GE(t.nprocs(), p);
-    EXPECT_TRUE(t.connected());
+    EXPECT_TRUE(reaches_every_node(t));
     EXPECT_GT(t.analytic_gamma(), 0.0);
     EXPECT_GT(t.analytic_delta(), 0.0);
     // Adjacency is symmetric.
@@ -131,6 +140,69 @@ TEST(Topology, EveryKindFitsPacketSimHopMasksAtMaxP) {
         TopologyKind::ShuffleExchange, TopologyKind::MeshOfTrees})
     EXPECT_LE(make_topology(kind, 4096).max_degree(), PacketSim::kMaxDegree)
         << to_string(kind);
+}
+
+/// The diameter by definition: the largest distance any plain BFS finds.
+NodeId largest_bfs_distance(const Topology& t) {
+  NodeId diam = 0;
+  for (NodeId v = 0; v < t.size(); ++v)
+    for (const NodeId d : t.distances_from(v)) diam = std::max(diam, d);
+  return diam;
+}
+
+/// A hand-built graph with every node a processor.
+Topology hand_built(std::vector<std::vector<NodeId>> adj) {
+  const auto n = static_cast<NodeId>(adj.size());
+  std::vector<NodeId> procs(adj.size());
+  std::iota(procs.begin(), procs.end(), 0);
+  return Topology(TopologyKind::Ring, n, std::move(adj), std::move(procs));
+}
+
+Topology path(NodeId n) {
+  std::vector<std::vector<NodeId>> adj(static_cast<std::size_t>(n));
+  for (NodeId v = 0; v + 1 < n; ++v) {
+    adj[static_cast<std::size_t>(v)].push_back(v + 1);
+    adj[static_cast<std::size_t>(v) + 1].push_back(v);
+  }
+  return hand_built(std::move(adj));
+}
+
+TEST(Topology, DiameterMatchesBfsFromEveryNode) {
+  // Sizes on both sides of a 64-source pass, and shapes that stress both
+  // frontier modes: paths keep a sparse frontier across pass edges, and a
+  // complete graph puts every node in the first frontier.
+  for (const auto kind :
+       {TopologyKind::Ring, TopologyKind::Mesh2D, TopologyKind::Mesh3D,
+        TopologyKind::HypercubeMulti, TopologyKind::HypercubeSingle,
+        TopologyKind::Butterfly, TopologyKind::CubeConnectedCycles,
+        TopologyKind::ShuffleExchange, TopologyKind::MeshOfTrees})
+    for (const ProcId p : {2, 3, 5, 16, 17, 63, 64, 65, 100, 256}) {
+      const Topology t = make_topology(kind, p);
+      EXPECT_EQ(t.diameter(), largest_bfs_distance(t))
+          << to_string(kind) << " p=" << p << " (" << t.size()
+          << " nodes)";
+    }
+  for (const NodeId n : {63, 64, 65, 129}) {
+    const Topology t = path(n);
+    EXPECT_EQ(largest_bfs_distance(t), n - 1);
+    EXPECT_EQ(t.diameter(), n - 1) << "path of " << n;
+  }
+  const NodeId kComplete = 65;
+  std::vector<std::vector<NodeId>> adj(kComplete);
+  for (NodeId v = 0; v < kComplete; ++v)
+    for (NodeId u = 0; u < kComplete; ++u)
+      if (u != v) adj[static_cast<std::size_t>(v)].push_back(u);
+  const Topology complete = hand_built(std::move(adj));
+  EXPECT_EQ(largest_bfs_distance(complete), 1);
+  EXPECT_EQ(complete.diameter(), 1);
+}
+
+TEST(TopologyDeathTest, DiameterOfADisconnectedGraphAborts) {
+  // Two triangles: every source of the one pass misses the other half.
+  std::vector<std::vector<NodeId>> adj{{1, 2}, {0, 2}, {0, 1},
+                                       {4, 5}, {3, 5}, {3, 4}};
+  const Topology t = hand_built(std::move(adj));
+  EXPECT_DEATH((void)t.diameter(), "disconnected");
 }
 
 TEST(Topology, DiameterTracksAnalyticDelta) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "tests/support/fnv64.h"
+
 namespace bsplogp::routing {
 namespace {
 
@@ -73,6 +75,57 @@ TEST(HRelation, RandomMessagesDegreeConcentrates) {
   // mean degree 50; max should be within a small factor.
   EXPECT_LT(rel.degree(), 110);
   EXPECT_GT(rel.degree(), 50);
+}
+
+using testsupport::Fnv64;
+
+TEST(HRelation, GeneratorOutputsArePinned) {
+  // Each hash covers every message's (src, dst, payload, tag) in order,
+  // then the generator's next draw, so a change in the relation or in the
+  // number of draws a call consumes fails. The pins were computed before
+  // random_regular wrote its relation in place.
+  struct Golden {
+    const char* name;
+    HRelation (*make)(core::Rng&);
+    std::uint64_t hash;
+  };
+  const Golden kGolden[] = {
+      {"random_regular p=2 h=5",
+       [](core::Rng& r) { return random_regular(2, 5, r); },
+       0x24764327640fa279ULL},
+      {"random_regular p=3 h=7",
+       [](core::Rng& r) { return random_regular(3, 7, r); },
+       0x31b551099d3b02ecULL},
+      {"random_regular p=64 h=8",
+       [](core::Rng& r) { return random_regular(64, 8, r); },
+       0xf20f89fea6d1e342ULL},
+      {"random_permutation p=64 fill=1",
+       [](core::Rng& r) { return random_permutation(64, r); },
+       0xc883d609cfa5401bULL},
+      {"random_permutation p=64 fill=0.5",
+       [](core::Rng& r) { return random_permutation(64, r, 0.5); },
+       0x9dbfeb9d7ad14b06ULL},
+      {"random_messages p=16 m=200",
+       [](core::Rng& r) { return random_messages(16, 200, r); },
+       0x9bfab9ed0f226b61ULL},
+      {"hotspot p=9 target=4 k=3",
+       [](core::Rng&) { return hotspot(9, 4, 3); },
+       0xb417c5cbfb02ddc3ULL},
+  };
+  for (const Golden& g : kGolden) {
+    core::Rng rng(2024);
+    const HRelation rel = g.make(rng);
+    Fnv64 h;
+    for (const Message& m : rel.messages()) {
+      h.add(m.src);
+      h.add(m.dst);
+      h.add(m.payload);
+      h.add(m.tag);
+    }
+    h.add(static_cast<std::int64_t>(rng()));
+    EXPECT_EQ(h.value(), g.hash)
+        << g.name << std::hex << " 0x" << h.value();
+  }
 }
 
 }  // namespace
