@@ -19,6 +19,10 @@
 namespace bsplogp::native {
 namespace {
 
+/// The two h values whose difference in exchange time yields g's slope.
+constexpr Time kHLo = 4;
+constexpr Time kHHi = 64;
+
 double wall_ns_of(const std::function<void()>& fn) {
   const auto t0 = std::chrono::steady_clock::now();
   fn();
@@ -91,7 +95,6 @@ logp::Params LogpFit::params() const {
 BspFit fit_bsp(ProcId p, core::ThreadPool* pool, const FitOptions& options) {
   BSPLOGP_EXPECTS(p >= 2);
   BSPLOGP_EXPECTS(options.barrier_reps >= 1 && options.exchange_reps >= 1);
-  BSPLOGP_EXPECTS(options.h_lo >= 1 && options.h_hi > options.h_lo);
   BspFit fit;
   fit.p = p;
 
@@ -107,15 +110,15 @@ BspFit fit_bsp(ProcId p, core::ThreadPool* pool, const FitOptions& options) {
   fit.l_ns = std::max(0.0, (with_barriers - empty) / reps);
 
   // g: slope of exchange-superstep time in h (the barrier term cancels).
-  double lo = exchange_ns(p, options.h_lo, options.exchange_reps, pool);
-  double hi = exchange_ns(p, options.h_hi, options.exchange_reps, pool);
+  double lo = exchange_ns(p, kHLo, options.exchange_reps, pool);
+  double hi = exchange_ns(p, kHHi, options.exchange_reps, pool);
   for (int i = 1; i < 3; ++i) {
-    lo = std::min(lo, exchange_ns(p, options.h_lo, options.exchange_reps, pool));
-    hi = std::min(hi, exchange_ns(p, options.h_hi, options.exchange_reps, pool));
+    lo = std::min(lo, exchange_ns(p, kHLo, options.exchange_reps, pool));
+    hi = std::min(hi, exchange_ns(p, kHHi, options.exchange_reps, pool));
   }
   fit.g_ns = std::max(
       0.0, (hi - lo) / (static_cast<double>(options.exchange_reps) *
-                        static_cast<double>(options.h_hi - options.h_lo)));
+                        static_cast<double>(kHHi - kHLo)));
   return fit;
 }
 

@@ -65,11 +65,8 @@ struct LogpFit {
 struct FitOptions {
   /// Barrier-only supersteps timed for l.
   int barrier_reps = 400;
-  /// Full-exchange supersteps timed per h point for g.
+  /// Full-exchange supersteps timed at each of the two h points for g.
   int exchange_reps = 30;
-  /// The two h values whose difference yields the slope.
-  Time h_lo = 4;
-  Time h_hi = 64;
   /// Ping-pong round trips timed for L.
   int pingpong_reps = 400;
   /// Messages in the G flood.

@@ -38,21 +38,10 @@ ProcId target_of(const Packet& pk) {
 PacketSim::PacketSim(Topology topology) : topo_(std::move(topology)) {
   BSPLOGP_EXPECTS(topo_.max_degree() <= kMaxDegree);
   const auto n = static_cast<std::size_t>(topo_.size());
-  std::size_t nlinks = 0;
+  const std::span<const NodeId> arcs = topo_.arcs();
+  link_from_.reserve(arcs.size());
   for (NodeId v = 0; v < topo_.size(); ++v)
-    nlinks += topo_.neighbors(v).size();
-  BSPLOGP_EXPECTS(
-      std::cmp_less_equal(nlinks, std::numeric_limits<std::int32_t>::max()));
-  link_base_.reserve(n + 1);
-  link_from_.reserve(nlinks);
-  link_to_.reserve(nlinks);
-  link_base_.push_back(0);
-  for (NodeId v = 0; v < topo_.size(); ++v) {
-    const auto& nb = topo_.neighbors(v);
-    link_from_.insert(link_from_.end(), nb.size(), v);
-    link_to_.insert(link_to_.end(), nb.begin(), nb.end());
-    link_base_.push_back(static_cast<std::int32_t>(link_to_.size()));
-  }
+    link_from_.insert(link_from_.end(), topo_.neighbors(v).size(), v);
 
   // One BFS per destination. When node u is dequeued, every neighbor one
   // level closer has its distance already, so the loop that discovers u's
@@ -69,13 +58,13 @@ PacketSim::PacketSim(Topology topology) : topo_(std::move(topology)) {
     queue[0] = src;
     std::size_t tail = 1;
     for (std::size_t head = 0; head < tail; ++head) {
-      const auto u = static_cast<std::size_t>(queue[head]);
-      const NodeId du = dist[u];
-      const auto base = static_cast<std::size_t>(link_base_[u]);
-      const auto end = static_cast<std::size_t>(link_base_[u + 1]);
+      const NodeId u = queue[head];
+      const NodeId du = dist[static_cast<std::size_t>(u)];
+      const auto base = static_cast<std::size_t>(topo_.first_arc(u));
+      const auto end = static_cast<std::size_t>(topo_.first_arc(u + 1));
       std::uint32_t mask = 0;
       for (std::size_t l = base; l < end; ++l) {
-        const NodeId w = link_to_[l];
+        const NodeId w = arcs[l];
         const NodeId dw = dist[static_cast<std::size_t>(w)];
         if (dw < 0) {
           dist[static_cast<std::size_t>(w)] = du + 1;
@@ -84,7 +73,7 @@ PacketSim::PacketSim(Topology topology) : topo_(std::move(topology)) {
           mask |= std::uint32_t{dw == du - 1} << (l - base);
         }
       }
-      hop_mask_[d * n + u] = mask;
+      hop_mask_[d * n + static_cast<std::size_t>(u)] = mask;
     }
     // Every node reached from the first source: the graph is connected.
     if (d == 0) BSPLOGP_EXPECTS(tail == n);
@@ -110,7 +99,7 @@ std::size_t PacketSim::next_link(NodeId at, ProcId dst_proc,
          --pick)
       mask &= mask - 1;  // drop the lowest candidate
   }
-  return static_cast<std::size_t>(link_base_[static_cast<std::size_t>(at)]) +
+  return static_cast<std::size_t>(topo_.first_arc(at)) +
          static_cast<std::size_t>(std::countr_zero(mask));
 }
 
@@ -124,7 +113,8 @@ PacketSim::Result PacketSim::route(const routing::HRelation& rel,
   BSPLOGP_EXPECTS(std::cmp_less_equal(
       rel.size(), std::numeric_limits<std::int32_t>::max()));
 
-  const std::size_t nlinks = link_to_.size();
+  const std::span<const NodeId> link_to = topo_.arcs();
+  const std::size_t nlinks = link_to.size();
   std::vector<Packet> pk(rel.size());
   std::vector<Fifo> fifo(nlinks);
   // Bit l is set iff link l's FIFO is nonempty.
@@ -209,14 +199,15 @@ PacketSim::Result PacketSim::route(const routing::HRelation& rel,
     if (topo_.single_port()) {
       // Send the head of one nonempty queue, round robin over links.
       for (std::size_t l = next_active(0); l < nlinks;) {
-        const auto v = static_cast<std::size_t>(link_from_[l]);
-        const auto base = static_cast<std::size_t>(link_base_[v]);
-        const auto end = static_cast<std::size_t>(link_base_[v + 1]);
+        const NodeId from = link_from_[l];
+        const auto v = static_cast<std::size_t>(from);
+        const auto base = static_cast<std::size_t>(topo_.first_arc(from));
+        const auto end = static_cast<std::size_t>(topo_.first_arc(from + 1));
         const std::size_t deg = end - base;
         for (std::size_t probe = 0; probe < deg; ++probe) {
           const std::size_t k = (rotate[v] + probe) % deg;
           if (fifo[base + k].len > 0) {
-            moved.emplace_back(link_to_[base + k], pop(base + k));
+            moved.emplace_back(link_to[base + k], pop(base + k));
             rotate[v] = (k + 1) % deg;
             break;
           }
@@ -230,7 +221,7 @@ PacketSim::Result PacketSim::route(const routing::HRelation& rel,
         for (std::uint64_t bits = active[w]; bits != 0; bits &= bits - 1) {
           const std::size_t l =
               w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-          moved.emplace_back(link_to_[l], pop(l));
+          moved.emplace_back(link_to[l], pop(l));
         }
     }
     if (moved.empty()) break;  // nothing can move: impossible if in_flight>0

@@ -34,10 +34,11 @@ class PacketSim {
   /// The widest node a next-hop mask can describe: one bit per link.
   static constexpr NodeId kMaxDegree = 32;
 
-  /// Numbers the directed links and precomputes, by one BFS from every
-  /// processor node, which links of each node lead one hop closer to that
-  /// processor. The topology is copied, so the simulator owns its world.
-  /// Requires a connected topology with max_degree() <= kMaxDegree.
+  /// Takes the topology's arcs as its directed links (link l is arc l) and
+  /// precomputes, by one BFS from every processor node, which links of each
+  /// node lead one hop closer to that processor. The topology is copied, so
+  /// the simulator owns its world. Requires a connected topology with
+  /// max_degree() <= kMaxDegree.
   explicit PacketSim(Topology topology);
 
   struct Result {
@@ -62,14 +63,10 @@ class PacketSim {
                                       std::uint64_t salt) const;
 
   Topology topo_;
-  /// Directed links in (node, neighbor index) order: node v's links are
-  /// link_base_[v] .. link_base_[v + 1] - 1, and link l runs from
-  /// link_from_[l] to link_to_[l].
-  std::vector<std::int32_t> link_base_;
+  /// link_from_[l]: the node link l leaves, for the single-port step.
   std::vector<NodeId> link_from_;
-  std::vector<NodeId> link_to_;
-  /// hop_mask_[d * size + v]: bit k is set iff link link_base_[v] + k leads
-  /// one hop closer to processor d's node (0 at that node itself).
+  /// hop_mask_[d * size + v]: bit k is set iff link topo_.first_arc(v) + k
+  /// leads one hop closer to processor d's node (0 at that node itself).
   std::vector<std::uint32_t> hop_mask_;
 };
 

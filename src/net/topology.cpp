@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <utility>
+#include <limits>
 #include <numeric>
 #include <queue>
+#include <utility>
 
 #include "src/core/contracts.h"
 
@@ -26,36 +27,64 @@ std::string to_string(TopologyKind kind) {
   return "?";
 }
 
-Topology::Topology(TopologyKind kind, NodeId size,
-                   std::vector<std::vector<NodeId>> adjacency,
+Topology::Topology(TopologyKind kind, NodeId size, std::span<const Edge> edges,
                    std::vector<NodeId> processors)
-    : kind_(kind),
-      size_(size),
-      adj_(std::move(adjacency)),
-      processors_(std::move(processors)) {
+    : kind_(kind), size_(size), processors_(std::move(processors)) {
   BSPLOGP_EXPECTS(size_ >= 1);
-  BSPLOGP_EXPECTS(std::cmp_equal(adj_.size(), size_));
   BSPLOGP_EXPECTS(!processors_.empty());
   for (const NodeId v : processors_) BSPLOGP_EXPECTS(v >= 0 && v < size_);
-  // Normalize adjacency: sorted, deduplicated, no self loops.
-  for (NodeId v = 0; v < size_; ++v) {
-    auto& nb = adj_[static_cast<std::size_t>(v)];
-    std::sort(nb.begin(), nb.end());
-    nb.erase(std::unique(nb.begin(), nb.end()), nb.end());
-    nb.erase(std::remove(nb.begin(), nb.end(), v), nb.end());
-    for (const NodeId u : nb) BSPLOGP_EXPECTS(u >= 0 && u < size_);
+  // Arcs are numbered in int32: two per edge must fit.
+  BSPLOGP_EXPECTS(std::cmp_less_equal(
+      edges.size(), std::numeric_limits<std::int32_t>::max() / 2));
+  const auto n = static_cast<std::size_t>(size_);
+  // Count each node's arcs into first_arc_[v] and sum them, so that
+  // first_arc_[v] is the end of v's run; filling every run from its end
+  // leaves first_arc_[v] at its start.
+  first_arc_.assign(n + 1, 0);
+  auto at = [&](NodeId v) -> std::int32_t& {
+    return first_arc_[static_cast<std::size_t>(v)];
+  };
+  for (const auto& [a, b] : edges) {
+    BSPLOGP_EXPECTS(a >= 0 && a < size_ && b >= 0 && b < size_);
+    if (a == b) continue;
+    ++at(a);
+    ++at(b);
   }
+  std::partial_sum(first_arc_.begin(), first_arc_.end(), first_arc_.begin());
+  arcs_.resize(static_cast<std::size_t>(first_arc_[n]));
+  for (const auto& [a, b] : edges) {
+    if (a == b) continue;
+    arcs_[static_cast<std::size_t>(--at(a))] = b;
+    arcs_[static_cast<std::size_t>(--at(b))] = a;
+  }
+  // Sort each run and drop its repeats, moving it down over the repeats
+  // dropped before it.
+  auto out = arcs_.begin();
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto first = arcs_.begin() + first_arc_[v];
+    const auto last = arcs_.begin() + first_arc_[v + 1];
+    std::sort(first, last);
+    first_arc_[v] = static_cast<std::int32_t>(out - arcs_.begin());
+    NodeId prev = -1;
+    for (auto it = first; it != last; ++it)
+      if (*it != prev) *out++ = prev = *it;
+  }
+  arcs_.erase(out, arcs_.end());
+  first_arc_[n] = static_cast<std::int32_t>(arcs_.size());
 }
 
-const std::vector<NodeId>& Topology::neighbors(NodeId v) const {
+std::span<const NodeId> Topology::neighbors(NodeId v) const {
   BSPLOGP_EXPECTS(v >= 0 && v < size_);
-  return adj_[static_cast<std::size_t>(v)];
+  const auto first = static_cast<std::size_t>(first_arc(v));
+  return std::span(arcs_).subspan(
+      first, static_cast<std::size_t>(first_arc(v + 1)) - first);
 }
 
 NodeId Topology::max_degree() const {
-  std::size_t d = 0;
-  for (const auto& nb : adj_) d = std::max(d, nb.size());
-  return static_cast<NodeId>(d);
+  std::int32_t d = 0;
+  for (std::size_t v = 0; v + 1 < first_arc_.size(); ++v)
+    d = std::max(d, first_arc_[v + 1] - first_arc_[v]);
+  return d;
 }
 
 std::vector<NodeId> Topology::distances_from(NodeId v) const {
@@ -67,7 +96,7 @@ std::vector<NodeId> Topology::distances_from(NodeId v) const {
   while (!frontier.empty()) {
     const NodeId u = frontier.front();
     frontier.pop();
-    for (const NodeId w : adj_[static_cast<std::size_t>(u)]) {
+    for (const NodeId w : neighbors(u)) {
       if (dist[static_cast<std::size_t>(w)] < 0) {
         dist[static_cast<std::size_t>(w)] =
             dist[static_cast<std::size_t>(u)] + 1;
@@ -109,7 +138,7 @@ NodeId Topology::diameter() const {
         for (const std::uint32_t u : list) {
           const std::uint64_t reach = frontier[u];
           frontier[u] = 0;
-          for (const NodeId v : adj_[u]) {
+          for (const NodeId v : neighbors(static_cast<NodeId>(u))) {
             const auto w = static_cast<std::uint32_t>(v);
             const std::uint64_t fresh = reach & ~seen[w];
             if (fresh == 0) continue;
@@ -120,12 +149,12 @@ NodeId Topology::diameter() const {
         }
       } else {
         // Pull into every node some source has not reached yet. A node's
-        // neighbors are its in-edges here because the adjacency of an
-        // undirected network is symmetric.
+        // neighbors are its in-edges here because the adjacency is
+        // symmetric.
         for (std::uint32_t w = 0; w < n; ++w) {
           if (seen[w] == all) continue;
           std::uint64_t reach = 0;
-          for (const NodeId u : adj_[w])
+          for (const NodeId u : neighbors(static_cast<NodeId>(w)))
             reach |= frontier[static_cast<std::size_t>(u)];
           const std::uint64_t fresh = reach & ~seen[w];
           if (fresh == 0) continue;
@@ -174,16 +203,11 @@ double Topology::analytic_delta() const {
 
 namespace {
 
-Topology make_ring(ProcId p) {
-  const NodeId n = std::max<NodeId>(p, 2);
-  std::vector<std::vector<NodeId>> adj(static_cast<std::size_t>(n));
-  for (NodeId i = 0; i < n; ++i) {
-    adj[static_cast<std::size_t>(i)].push_back((i + 1) % n);
-    adj[static_cast<std::size_t>(i)].push_back((i + n - 1) % n);
-  }
+/// Nodes 0..n-1, every one a processor.
+std::vector<NodeId> all_nodes(NodeId n) {
   std::vector<NodeId> procs(static_cast<std::size_t>(n));
   std::iota(procs.begin(), procs.end(), 0);
-  return Topology(TopologyKind::Ring, n, std::move(adj), std::move(procs));
+  return procs;
 }
 
 Topology make_mesh(TopologyKind kind, ProcId p, int dims) {
@@ -195,34 +219,30 @@ Topology make_mesh(TopologyKind kind, ProcId p, int dims) {
   };
   while (total(side) < p) ++side;
   const NodeId n = total(side);
-  std::vector<std::vector<NodeId>> adj(static_cast<std::size_t>(n));
-  // Torus links along each dimension.
+  // Torus links: each node to its successor along each dimension. The ring
+  // is the 1-dim torus.
+  std::vector<Edge> edges;
   for (NodeId v = 0; v < n; ++v) {
     NodeId stride = 1;
     for (int d = 0; d < dims; ++d) {
       const NodeId coord = (v / stride) % side;
-      const NodeId up = v + ((coord + 1) % side - coord) * stride;
-      const NodeId down = v + ((coord + side - 1) % side - coord) * stride;
-      adj[static_cast<std::size_t>(v)].push_back(up);
-      adj[static_cast<std::size_t>(v)].push_back(down);
+      edges.emplace_back(v, v + ((coord + 1) % side - coord) * stride);
       stride *= side;
     }
   }
-  std::vector<NodeId> procs(static_cast<std::size_t>(n));
-  std::iota(procs.begin(), procs.end(), 0);
-  return Topology(kind, n, std::move(adj), std::move(procs));
+  return Topology(kind, n, edges, all_nodes(n));
 }
 
 Topology make_hypercube(TopologyKind kind, ProcId p) {
   const int n = std::max(1, ceil_log2(std::max<ProcId>(p, 2)));
   const NodeId size = NodeId{1} << n;
-  std::vector<std::vector<NodeId>> adj(static_cast<std::size_t>(size));
+  // Each edge from its lower end, the one whose bit k is clear.
+  std::vector<Edge> edges;
   for (NodeId v = 0; v < size; ++v)
     for (int k = 0; k < n; ++k)
-      adj[static_cast<std::size_t>(v)].push_back(v ^ (NodeId{1} << k));
-  std::vector<NodeId> procs(static_cast<std::size_t>(size));
-  std::iota(procs.begin(), procs.end(), 0);
-  return Topology(kind, size, std::move(adj), std::move(procs));
+      if ((v & (NodeId{1} << k)) == 0)
+        edges.emplace_back(v, v | (NodeId{1} << k));
+  return Topology(kind, size, edges, all_nodes(size));
 }
 
 Topology make_butterfly(ProcId p) {
@@ -236,23 +256,15 @@ Topology make_butterfly(ProcId p) {
   auto id = [&](int level, NodeId row) {
     return static_cast<NodeId>(level) * rows + row;
   };
-  std::vector<std::vector<NodeId>> adj(static_cast<std::size_t>(size));
+  std::vector<Edge> edges;
   for (int level = 0; level < n; ++level) {
     const int next = (level + 1) % n;
     for (NodeId row = 0; row < rows; ++row) {
-      const NodeId a = id(level, row);
-      const NodeId straight = id(next, row);
-      const NodeId cross = id(next, row ^ (NodeId{1} << level));
-      adj[static_cast<std::size_t>(a)].push_back(straight);
-      adj[static_cast<std::size_t>(straight)].push_back(a);
-      adj[static_cast<std::size_t>(a)].push_back(cross);
-      adj[static_cast<std::size_t>(cross)].push_back(a);
+      edges.emplace_back(id(level, row), id(next, row));
+      edges.emplace_back(id(level, row), id(next, row ^ (NodeId{1} << level)));
     }
   }
-  std::vector<NodeId> procs(static_cast<std::size_t>(size));
-  std::iota(procs.begin(), procs.end(), 0);
-  return Topology(TopologyKind::Butterfly, size, std::move(adj),
-                  std::move(procs));
+  return Topology(TopologyKind::Butterfly, size, edges, all_nodes(size));
 }
 
 Topology make_ccc(ProcId p) {
@@ -264,38 +276,31 @@ Topology make_ccc(ProcId p) {
   auto id = [&](NodeId corner, int pos) {
     return corner * static_cast<NodeId>(n) + static_cast<NodeId>(pos);
   };
-  std::vector<std::vector<NodeId>> adj(static_cast<std::size_t>(size));
+  // Each cycle edge from its position l to l + 1, and each cube edge from
+  // the corner whose bit l is clear.
+  std::vector<Edge> edges;
   for (NodeId w = 0; w < corners; ++w) {
     for (int l = 0; l < n; ++l) {
-      const NodeId a = id(w, l);
-      adj[static_cast<std::size_t>(a)].push_back(id(w, (l + 1) % n));
-      adj[static_cast<std::size_t>(a)].push_back(id(w, (l + n - 1) % n));
-      adj[static_cast<std::size_t>(a)].push_back(
-          id(w ^ (NodeId{1} << l), l));
+      edges.emplace_back(id(w, l), id(w, (l + 1) % n));
+      if ((w & (NodeId{1} << l)) == 0)
+        edges.emplace_back(id(w, l), id(w | (NodeId{1} << l), l));
     }
   }
-  std::vector<NodeId> procs(static_cast<std::size_t>(size));
-  std::iota(procs.begin(), procs.end(), 0);
-  return Topology(TopologyKind::CubeConnectedCycles, size, std::move(adj),
-                  std::move(procs));
+  return Topology(TopologyKind::CubeConnectedCycles, size, edges,
+                  all_nodes(size));
 }
 
 Topology make_shuffle_exchange(ProcId p) {
   const int n = std::max(2, ceil_log2(std::max<ProcId>(p, 4)));
   const NodeId size = NodeId{1} << n;
   const NodeId mask = size - 1;
-  std::vector<std::vector<NodeId>> adj(static_cast<std::size_t>(size));
+  std::vector<Edge> edges;
   for (NodeId v = 0; v < size; ++v) {
-    auto& nb = adj[static_cast<std::size_t>(v)];
-    nb.push_back(v ^ 1);                                  // exchange
-    nb.push_back(((v << 1) | (v >> (n - 1))) & mask);     // shuffle
-    // unshuffle (the shuffle edge seen from the other side)
-    nb.push_back(((v >> 1) | ((v & 1) << (n - 1))) & mask);
+    if ((v & 1) == 0) edges.emplace_back(v, v ^ 1);             // exchange
+    edges.emplace_back(v, ((v << 1) | (v >> (n - 1))) & mask);  // shuffle
   }
-  std::vector<NodeId> procs(static_cast<std::size_t>(size));
-  std::iota(procs.begin(), procs.end(), 0);
-  return Topology(TopologyKind::ShuffleExchange, size, std::move(adj),
-                  std::move(procs));
+  return Topology(TopologyKind::ShuffleExchange, size, edges,
+                  all_nodes(size));
 }
 
 Topology make_mesh_of_trees(ProcId p) {
@@ -304,46 +309,26 @@ Topology make_mesh_of_trees(ProcId p) {
   NodeId side = 2;
   while (side * side < p) side *= 2;  // power of two for clean trees
   const NodeId leaves = side * side;
-  std::vector<std::vector<NodeId>> adj(static_cast<std::size_t>(leaves));
+  NodeId size = leaves;
+  std::vector<Edge> edges;
   auto leaf = [&](NodeId row, NodeId col) { return row * side + col; };
-  auto new_node = [&]() {
-    adj.emplace_back();
-    return static_cast<NodeId>(adj.size() - 1);
-  };
-  auto connect = [&](NodeId a, NodeId b) {
-    adj[static_cast<std::size_t>(a)].push_back(b);
-    adj[static_cast<std::size_t>(b)].push_back(a);
-  };
-  // Builds a binary tree whose leaf layer is `level`; returns nothing —
-  // edges are added as internal nodes are allocated.
-  auto build_tree = [&](std::vector<NodeId> level) {
-    while (level.size() > 1) {
-      std::vector<NodeId> up;
-      for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
-        const NodeId parent = new_node();
-        connect(parent, level[i]);
-        connect(parent, level[i + 1]);
-        up.push_back(parent);
-      }
-      if (level.size() % 2 == 1) up.push_back(level.back());
-      level = std::move(up);
+  // Every row tree, then every column tree, each built level by level: a
+  // level's parents replace its leading entries and are numbered after
+  // the nodes already built.
+  std::vector<NodeId> line(static_cast<std::size_t>(side));
+  for (const bool rows : {true, false})
+    for (NodeId i = 0; i < side; ++i) {
+      for (NodeId j = 0; j < side; ++j)
+        line[static_cast<std::size_t>(j)] = rows ? leaf(i, j) : leaf(j, i);
+      for (std::size_t width = line.size(); width > 1; width /= 2)
+        for (std::size_t k = 0; k < width / 2; ++k) {
+          const NodeId parent = size++;
+          edges.emplace_back(parent, line[2 * k]);
+          edges.emplace_back(parent, line[2 * k + 1]);
+          line[k] = parent;
+        }
     }
-  };
-  for (NodeId r = 0; r < side; ++r) {
-    std::vector<NodeId> row;
-    for (NodeId c = 0; c < side; ++c) row.push_back(leaf(r, c));
-    build_tree(std::move(row));
-  }
-  for (NodeId c = 0; c < side; ++c) {
-    std::vector<NodeId> col;
-    for (NodeId r = 0; r < side; ++r) col.push_back(leaf(r, c));
-    build_tree(std::move(col));
-  }
-  std::vector<NodeId> procs(static_cast<std::size_t>(leaves));
-  std::iota(procs.begin(), procs.end(), 0);
-  const auto size = static_cast<NodeId>(adj.size());
-  return Topology(TopologyKind::MeshOfTrees, size, std::move(adj),
-                  std::move(procs));
+  return Topology(TopologyKind::MeshOfTrees, size, edges, all_nodes(leaves));
 }
 
 }  // namespace
@@ -352,7 +337,7 @@ Topology make_topology(TopologyKind kind, ProcId p_request) {
   BSPLOGP_EXPECTS(p_request >= 2);
   switch (kind) {
     case TopologyKind::Ring:
-      return make_ring(p_request);
+      return make_mesh(kind, p_request, 1);
     case TopologyKind::Mesh2D:
       return make_mesh(kind, p_request, 2);
     case TopologyKind::Mesh3D:
@@ -370,7 +355,7 @@ Topology make_topology(TopologyKind kind, ProcId p_request) {
       return make_mesh_of_trees(p_request);
   }
   BSPLOGP_ASSERT(false && "unknown topology kind");
-  return make_ring(p_request);
+  return make_mesh(TopologyKind::Ring, p_request, 1);
 }
 
 }  // namespace bsplogp::net

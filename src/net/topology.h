@@ -14,7 +14,10 @@
 //   mesh-of-trees:      sqrt(p),  log p
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/types.h"
@@ -37,19 +40,32 @@ enum class TopologyKind {
 
 [[nodiscard]] std::string to_string(TopologyKind kind);
 
+/// An undirected edge between two nodes.
+using Edge = std::pair<NodeId, NodeId>;
+
 /// An undirected point-to-point network. Nodes 0..size-1; a subset of
 /// nodes (the "processor" nodes) carries the p logical endpoints — for most
 /// topologies every node is a processor, but e.g. a mesh-of-trees computes
-/// only at the leaves.
+/// only at the leaves. The adjacency is stored once, as CSR arcs, and is
+/// symmetric by construction.
 class Topology {
  public:
-  Topology(TopologyKind kind, NodeId size,
-           std::vector<std::vector<NodeId>> adjacency,
+  /// Each edge {a, b} becomes the arcs a -> b and b -> a; self-loops and
+  /// repeated edges are dropped. Endpoints and processors lie in 0..size-1.
+  Topology(TopologyKind kind, NodeId size, std::span<const Edge> edges,
            std::vector<NodeId> processors);
 
   [[nodiscard]] TopologyKind kind() const { return kind_; }
   [[nodiscard]] NodeId size() const { return size_; }
-  [[nodiscard]] const std::vector<NodeId>& neighbors(NodeId v) const;
+  /// v's neighbors, ascending.
+  [[nodiscard]] std::span<const NodeId> neighbors(NodeId v) const;
+  /// v's arcs are first_arc(v) .. first_arc(v + 1) - 1, to its neighbors in
+  /// ascending order; first_arc(size()) is the arc count.
+  [[nodiscard]] std::int32_t first_arc(NodeId v) const {
+    return first_arc_[static_cast<std::size_t>(v)];
+  }
+  /// Every arc's far end: arc a runs to node arcs()[a].
+  [[nodiscard]] std::span<const NodeId> arcs() const { return arcs_; }
   /// The processor nodes, in logical order: processor i lives at node
   /// processors()[i].
   [[nodiscard]] const std::vector<NodeId>& processors() const {
@@ -61,8 +77,7 @@ class Topology {
 
   [[nodiscard]] NodeId max_degree() const;
   /// Exact graph diameter, by a bit-parallel BFS from 64 sources per pass.
-  /// Requires a connected graph whose adjacency is symmetric (each edge
-  /// listed at both ends, as an undirected network's is; not checked).
+  /// Requires a connected graph.
   [[nodiscard]] NodeId diameter() const;
   /// BFS distances from a single source; -1 marks an unreachable node.
   [[nodiscard]] std::vector<NodeId> distances_from(NodeId v) const;
@@ -80,7 +95,8 @@ class Topology {
  private:
   TopologyKind kind_;
   NodeId size_;
-  std::vector<std::vector<NodeId>> adj_;
+  std::vector<std::int32_t> first_arc_;  // size + 1 entries
+  std::vector<NodeId> arcs_;
   std::vector<NodeId> processors_;
 };
 

@@ -1,10 +1,15 @@
 // Concurrency stress: hammer the native backend's synchronization paths
 // (barrier waves, arrival queues, shared-pool reuse, concurrent trace
 // emission) hard enough that a data race or a lost wakeup has a realistic
-// chance of firing — these are the tests the TSan CI leg exists for.
+// chance of firing — these are the tests the TSan CI leg exists for. The
+// NativeLogp tests drive run_logp's two failure paths: a recv timeout, and
+// a throwing program whose blocked siblings must be woken.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/core/parallel.h"
@@ -100,6 +105,43 @@ TEST(NativeStress, ConcurrentEmissionCountsAreExact) {
   for (ProcId i = 0; i < p; ++i)
     EXPECT_EQ(counts.count(trace::EventKind::Acquire, i), p - 1);
   EXPECT_EQ(counts.runs(), 1);
+}
+
+TEST(NativeLogp, RecvWithNoSenderTimesOut) {
+  // Both processors wait for a message nobody sends: a real deadlock, which
+  // the recv timeout turns into an error.
+  native::NativeLogpOptions options;
+  options.recv_timeout = std::chrono::milliseconds(50);
+  const logp::ProgramFn wait_forever = [](logp::Proc& pr) -> logp::Task<> {
+    (void)co_await pr.recv();
+  };
+  try {
+    (void)native::run_logp(2, wait_forever, logp::Params{16, 1, 4}, options);
+    ADD_FAILURE() << "run_logp returned";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("recv timed out"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(NativeLogp, ThrowingProgramUnparksBlockedSiblings) {
+  // Processor 0 throws while 1 and 2 block in recv under the default 30 s
+  // timeout. run_logp must wake them and rethrow processor 0's exception
+  // long before the timeout would.
+  std::vector<logp::ProgramFn> programs;
+  programs.emplace_back([](logp::Proc&) -> logp::Task<> {
+    throw std::logic_error("processor 0 failed");
+    co_return;  // makes the lambda a coroutine
+  });
+  for (int i = 1; i < 3; ++i)
+    programs.emplace_back([](logp::Proc& pr) -> logp::Task<> {
+      (void)co_await pr.recv();
+    });
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW((void)native::run_logp(programs, logp::Params{16, 1, 4}),
+               std::logic_error);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(10));
 }
 
 }  // namespace

@@ -231,14 +231,13 @@ TEST(PacketSim, GoldenResultsPerTopology) {
 TEST(PacketSimDeathTest, RejectsNodesWiderThanTheHopMask) {
   // A star whose hub has one link more than a next-hop mask has bits.
   const NodeId leaves = PacketSim::kMaxDegree + 1;
-  std::vector<std::vector<NodeId>> adj(static_cast<std::size_t>(leaves) + 1);
+  std::vector<Edge> edges;
   std::vector<NodeId> procs;
   for (NodeId leaf = 1; leaf <= leaves; ++leaf) {
-    adj[0].push_back(leaf);
-    adj[static_cast<std::size_t>(leaf)].push_back(0);
+    edges.emplace_back(0, leaf);
     procs.push_back(leaf);
   }
-  Topology star(TopologyKind::MeshOfTrees, leaves + 1, std::move(adj),
+  Topology star(TopologyKind::MeshOfTrees, leaves + 1, edges,
                 std::move(procs));
   EXPECT_DEATH(PacketSim{std::move(star)}, "kMaxDegree");
 }

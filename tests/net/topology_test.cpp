@@ -11,6 +11,13 @@
 namespace bsplogp::net {
 namespace {
 
+constexpr TopologyKind kAllKinds[] = {
+    TopologyKind::Ring,           TopologyKind::Mesh2D,
+    TopologyKind::Mesh3D,         TopologyKind::HypercubeMulti,
+    TopologyKind::HypercubeSingle, TopologyKind::Butterfly,
+    TopologyKind::CubeConnectedCycles, TopologyKind::ShuffleExchange,
+    TopologyKind::MeshOfTrees};
+
 /// No node is unreachable from node 0.
 bool reaches_every_node(const Topology& t) {
   const auto dist = t.distances_from(0);
@@ -105,7 +112,7 @@ TEST_P(AllTopologies, BasicInvariants) {
     // Adjacency is symmetric.
     for (NodeId v = 0; v < t.size(); ++v)
       for (const NodeId u : t.neighbors(v)) {
-        const auto& back = t.neighbors(u);
+        const auto back = t.neighbors(u);
         EXPECT_NE(std::find(back.begin(), back.end(), v), back.end())
             << to_string(GetParam()) << " edge " << v << "-" << u;
       }
@@ -115,13 +122,7 @@ TEST_P(AllTopologies, BasicInvariants) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Kinds, AllTopologies,
-    ::testing::Values(TopologyKind::Ring, TopologyKind::Mesh2D,
-                      TopologyKind::Mesh3D, TopologyKind::HypercubeMulti,
-                      TopologyKind::HypercubeSingle, TopologyKind::Butterfly,
-                      TopologyKind::CubeConnectedCycles,
-                      TopologyKind::ShuffleExchange,
-                      TopologyKind::MeshOfTrees),
+    Kinds, AllTopologies, ::testing::ValuesIn(kAllKinds),
     [](const auto& param_info) {
       std::string name = to_string(param_info.param);
       std::erase(name, '-');
@@ -133,11 +134,7 @@ TEST(Topology, EveryKindFitsPacketSimHopMasksAtMaxP) {
   // Only the hypercube's degree keeps growing with p (log p), so no
   // topology the repo builds is wider than these, and PacketSim's degree
   // precondition never fires.
-  for (const auto kind :
-       {TopologyKind::Ring, TopologyKind::Mesh2D, TopologyKind::Mesh3D,
-        TopologyKind::HypercubeMulti, TopologyKind::HypercubeSingle,
-        TopologyKind::Butterfly, TopologyKind::CubeConnectedCycles,
-        TopologyKind::ShuffleExchange, TopologyKind::MeshOfTrees})
+  for (const auto kind : kAllKinds)
     EXPECT_LE(make_topology(kind, 4096).max_degree(), PacketSim::kMaxDegree)
         << to_string(kind);
 }
@@ -151,31 +148,42 @@ NodeId largest_bfs_distance(const Topology& t) {
 }
 
 /// A hand-built graph with every node a processor.
-Topology hand_built(std::vector<std::vector<NodeId>> adj) {
-  const auto n = static_cast<NodeId>(adj.size());
-  std::vector<NodeId> procs(adj.size());
+Topology hand_built(NodeId n, const std::vector<Edge>& edges) {
+  std::vector<NodeId> procs(static_cast<std::size_t>(n));
   std::iota(procs.begin(), procs.end(), 0);
-  return Topology(TopologyKind::Ring, n, std::move(adj), std::move(procs));
+  return Topology(TopologyKind::Ring, n, edges, std::move(procs));
 }
 
 Topology path(NodeId n) {
-  std::vector<std::vector<NodeId>> adj(static_cast<std::size_t>(n));
-  for (NodeId v = 0; v + 1 < n; ++v) {
-    adj[static_cast<std::size_t>(v)].push_back(v + 1);
-    adj[static_cast<std::size_t>(v) + 1].push_back(v);
+  std::vector<Edge> edges;
+  for (NodeId v = 0; v + 1 < n; ++v) edges.emplace_back(v, v + 1);
+  return hand_built(n, edges);
+}
+
+TEST(Topology, EdgeListIsNormalized) {
+  // Edge 0-1 in both orientations, 1-2 twice, a self-loop at 2, and 3-0.
+  const Topology t =
+      hand_built(4, {{0, 1}, {1, 0}, {1, 2}, {1, 2}, {2, 2}, {3, 0}});
+  const std::vector<std::vector<NodeId>> expected{{1, 3}, {0, 2}, {1}, {0}};
+  for (NodeId v = 0; v < t.size(); ++v) {
+    const auto nb = t.neighbors(v);
+    EXPECT_EQ(std::vector<NodeId>(nb.begin(), nb.end()),
+              expected[static_cast<std::size_t>(v)])
+        << "node " << v;
   }
-  return hand_built(std::move(adj));
+  EXPECT_EQ(t.max_degree(), 2);
+}
+
+TEST(TopologyDeathTest, EdgeEndpointOutOfRangeAborts) {
+  EXPECT_DEATH((void)hand_built(3, {{0, 1}, {1, 3}}), "b < size_");
+  EXPECT_DEATH((void)hand_built(3, {{-1, 1}}), "a >= 0");
 }
 
 TEST(Topology, DiameterMatchesBfsFromEveryNode) {
   // Sizes on both sides of a 64-source pass, and shapes that stress both
   // frontier modes: paths keep a sparse frontier across pass edges, and a
   // complete graph puts every node in the first frontier.
-  for (const auto kind :
-       {TopologyKind::Ring, TopologyKind::Mesh2D, TopologyKind::Mesh3D,
-        TopologyKind::HypercubeMulti, TopologyKind::HypercubeSingle,
-        TopologyKind::Butterfly, TopologyKind::CubeConnectedCycles,
-        TopologyKind::ShuffleExchange, TopologyKind::MeshOfTrees})
+  for (const auto kind : kAllKinds)
     for (const ProcId p : {2, 3, 5, 16, 17, 63, 64, 65, 100, 256}) {
       const Topology t = make_topology(kind, p);
       EXPECT_EQ(t.diameter(), largest_bfs_distance(t))
@@ -188,20 +196,18 @@ TEST(Topology, DiameterMatchesBfsFromEveryNode) {
     EXPECT_EQ(t.diameter(), n - 1) << "path of " << n;
   }
   const NodeId kComplete = 65;
-  std::vector<std::vector<NodeId>> adj(kComplete);
+  std::vector<Edge> edges;
   for (NodeId v = 0; v < kComplete; ++v)
-    for (NodeId u = 0; u < kComplete; ++u)
-      if (u != v) adj[static_cast<std::size_t>(v)].push_back(u);
-  const Topology complete = hand_built(std::move(adj));
+    for (NodeId u = v + 1; u < kComplete; ++u) edges.emplace_back(v, u);
+  const Topology complete = hand_built(kComplete, edges);
   EXPECT_EQ(largest_bfs_distance(complete), 1);
   EXPECT_EQ(complete.diameter(), 1);
 }
 
 TEST(TopologyDeathTest, DiameterOfADisconnectedGraphAborts) {
   // Two triangles: every source of the one pass misses the other half.
-  std::vector<std::vector<NodeId>> adj{{1, 2}, {0, 2}, {0, 1},
-                                       {4, 5}, {3, 5}, {3, 4}};
-  const Topology t = hand_built(std::move(adj));
+  const Topology t = hand_built(6, {{0, 1}, {1, 2}, {2, 0},
+                                    {3, 4}, {4, 5}, {5, 3}});
   EXPECT_DEATH((void)t.diameter(), "disconnected");
 }
 
