@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -92,10 +90,16 @@ struct StencilSetup {
       mix(seed ^ (0x57E2C1ULL << 32) ^ static_cast<std::uint64_t>(id)) & 0xFF);
 }
 
+// The builders allocate per processor, never per cell, key or element:
+// the element loops use the per-axis closed forms (part::AxisPart), since
+// every N-D Partitioning query returns a heap Point. AppAlloc pins this.
+
 [[nodiscard]] std::shared_ptr<const StencilSetup> build_stencil(
     const Spec& s) {
   require_valid("stencil-2d", s);
   const Partitioning pt(Scheme::Block, {s.nx, s.ny}, app_grid(s));
+  const part::AxisPart& ax = pt.axis(0);
+  const part::AxisPart& ay = pt.axis(1);
   auto su = std::make_shared<StencilSetup>();
   su->p = s.p;
   su->nx = s.nx;
@@ -106,43 +110,57 @@ struct StencilSetup {
       {{-1, 0}, {1, 0}, {0, -1}, {0, 1}}};
   for (ProcId r = 0; r < s.p; ++r) {
     StencilPlan& plan = su->procs[static_cast<std::size_t>(r)];
-    const Point shape = pt.local_shape(r);
-    std::map<ProcId, std::set<std::size_t>> send_sets;
-    std::set<std::int64_t> halo_ids;
-    for (Index lx = 0; lx < shape[0]; ++lx)
-      for (Index ly = 0; ly < shape[1]; ++ly) {
-        const Point g = pt.to_global(r, {lx, ly});
-        const std::int64_t id = g[0] * s.ny + g[1];
+    const Point c = pt.grid().coords(r);
+    const Index wx = ax.extent(c[0]);
+    const Index wy = ay.extent(c[1]);
+    const auto cells = static_cast<std::size_t>(wx * wy);
+    plan.cell_ids.reserve(cells);
+    plan.init.reserve(cells);
+    plan.nbs.reserve(cells);
+    std::vector<std::pair<ProcId, std::size_t>> sends;  // (dst, local index)
+    std::vector<std::int64_t> halo_ids;
+    for (Index lx = 0; lx < wx; ++lx)
+      for (Index ly = 0; ly < wy; ++ly) {
+        const Index gx = ax.to_global(c[0], lx);
+        const Index gy = ay.to_global(c[1], ly);
+        const std::int64_t id = gx * s.ny + gy;
         const std::size_t idx = plan.cell_ids.size();
         plan.cell_ids.push_back(id);
         plan.init.push_back(cell_init(s.seed, id));
         std::array<NbRef, 4> refs;
         for (std::size_t d = 0; d < 4; ++d) {
-          const Index ngx = g[0] + kDirs[d][0];
-          const Index ngy = g[1] + kDirs[d][1];
+          const Index ngx = gx + kDirs[d][0];
+          const Index ngy = gy + kDirs[d][1];
           if (ngx < 0 || ngx >= s.nx || ngy < 0 || ngy >= s.ny) {
             refs[d] = NbRef{0, 0};
             continue;
           }
-          const ProcId o = pt.owner({ngx, ngy});
+          // The owner's row-major rank over the rows x cols grid.
+          const auto o =
+              static_cast<ProcId>(ax.owner(ngx) * ay.g + ay.owner(ngy));
           if (o == r) {
-            const Point ll = pt.to_local({ngx, ngy});
-            refs[d] = NbRef{1, ll[0] * shape[1] + ll[1]};
+            refs[d] = NbRef{1, ax.to_local(ngx) * wy + ay.to_local(ngy)};
           } else {
             // I need their cell (receive) and, symmetrically, they need
             // mine: the 4-neighbourhood relation is its own inverse.
             refs[d] = NbRef{2, ngx * s.ny + ngy};
-            halo_ids.insert(ngx * s.ny + ngy);
-            send_sets[o].insert(idx);
+            halo_ids.push_back(ngx * s.ny + ngy);
+            sends.emplace_back(o, idx);
           }
         }
         plan.nbs.push_back(refs);
       }
-    plan.recv_count = static_cast<std::int64_t>(halo_ids.size());
-    for (auto& [dst, cells] : send_sets)
-      plan.sends.emplace_back(dst,
-                              std::vector<std::size_t>(cells.begin(),
-                                                       cells.end()));
+    std::sort(halo_ids.begin(), halo_ids.end());
+    plan.recv_count =
+        std::unique(halo_ids.begin(), halo_ids.end()) - halo_ids.begin();
+    // Ascending (destination, cell): the order every send loop follows.
+    std::sort(sends.begin(), sends.end());
+    sends.erase(std::unique(sends.begin(), sends.end()), sends.end());
+    for (const auto& [dst, idx] : sends) {
+      if (plan.sends.empty() || plan.sends.back().first != dst)
+        plan.sends.emplace_back(dst, std::vector<std::size_t>{});
+      plan.sends.back().second.push_back(idx);
+    }
   }
   return su;
 }
@@ -393,15 +411,16 @@ constexpr Index kSortBlock = 4;
   require_valid("sample-sort", s);
   const Partitioning pt(Scheme::BlockCyclic, {s.nx},
                         Grid({static_cast<Index>(s.p)}), kSortBlock);
+  const part::AxisPart& ax = pt.axis(0);  // a 1-D grid: coordinate == rank
   auto su = std::make_shared<SortSetup>();
   su->p = s.p;
   su->keys.resize(static_cast<std::size_t>(s.p));
   for (ProcId r = 0; r < s.p; ++r) {
-    const Index count = pt.local_count(r);
+    const Index count = ax.extent(r);
     auto& mine = su->keys[static_cast<std::size_t>(r)];
     mine.reserve(static_cast<std::size_t>(count));
     for (Index l = 0; l < count; ++l)
-      mine.push_back(key_value(s.seed, pt.to_global(r, {l})[0]));
+      mine.push_back(key_value(s.seed, ax.to_global(r, l)));
   }
   return su;
 }
@@ -631,17 +650,18 @@ struct BsfSetup {
   require_valid("bsf-iterative", s);
   const Partitioning pt(Scheme::Cyclic, {s.nx},
                         Grid({static_cast<Index>(s.p)}));
+  const part::AxisPart& ax = pt.axis(0);  // a 1-D grid: coordinate == rank
   auto su = std::make_shared<BsfSetup>();
   su->p = s.p;
   su->rounds = s.rounds;
   su->x0 = mix(s.seed ^ 0xB5F15EEDULL) & 0xFFFF;
   su->elems.resize(static_cast<std::size_t>(s.p));
   for (ProcId r = 0; r < s.p; ++r) {
-    const Index count = pt.local_count(r);
+    const Index count = ax.extent(r);
     auto& mine = su->elems[static_cast<std::size_t>(r)];
     mine.reserve(static_cast<std::size_t>(count));
     for (Index l = 0; l < count; ++l) {
-      const Index g = pt.to_global(r, {l})[0];
+      const Index g = ax.to_global(r, l);
       mine.emplace_back(g, elem_value(s.seed, g));
     }
   }
